@@ -46,6 +46,7 @@ func TestFilterStepAllocBudget(t *testing.T) {
 		z    []float64
 	}{
 		{"BenchmarkFilterStep/scalar", model.Constant(1, 0.05, 0.05), []float64{1.5}},
+		{"BenchmarkFilterStep/smoothing", model.Smoothing(1e-3, 1), []float64{1.5}},
 		{"BenchmarkFilterStep/linear1d", model.Linear(1, 1, 0.05, 0.05), []float64{1.5}},
 		{"BenchmarkFilterStep/linear2d", model.Linear(2, 0.1, 0.05, 0.05), []float64{1.5, -0.5}},
 	}

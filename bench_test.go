@@ -486,8 +486,10 @@ func BenchmarkDKFStepLinear2D(b *testing.B) {
 
 // BenchmarkFilterStep measures the raw per-reading Predict+Correct cost
 // for the paper's model sizes: the scalar constant model (n=1, m=1), the
+// one-state smoothing model of the KFc smoother bank (n=1, m=1), the
 // 1-D linear model (n=2, m=1), and the 2-D linear tracking model of
-// Example 1 (n=4, m=2). Steady state must report 0 allocs/op.
+// Example 1 (n=4, m=2). The first three run the fixed-size kernels, the
+// last the generic workspace. Steady state must report 0 allocs/op.
 func BenchmarkFilterStep(b *testing.B) {
 	cases := []struct {
 		name string
@@ -495,6 +497,7 @@ func BenchmarkFilterStep(b *testing.B) {
 		z    []float64
 	}{
 		{"scalar", model.Constant(1, 0.05, 0.05), []float64{1.5}},
+		{"smoothing", model.Smoothing(1e-3, 1), []float64{1.5}},
 		{"linear1d", model.Linear(1, 1, 0.05, 0.05), []float64{1.5}},
 		{"linear2d", model.Linear(2, 0.1, 0.05, 0.05), []float64{1.5, -0.5}},
 	}

@@ -553,11 +553,11 @@ func dialHandshake(addr, sourceID string, window int, opts DialOptions) (net.Con
 		return fail(fmt.Errorf("dsms: send: %w", err))
 	}
 	if err := w.Flush(); err != nil {
-		return fail(fmt.Errorf("dsms: send: %w", err))
+		return fail(fmt.Errorf("dsms: send: %w", wire.MapConnErr(err)))
 	}
 	ver, feats, err := r.ReadPreambleFeatures()
 	if err != nil {
-		return fail(fmt.Errorf("dsms: handshake: %w", err))
+		return fail(fmt.Errorf("dsms: handshake: %w", recvErr(err)))
 	}
 	if err := wire.CheckVersion(ver); err != nil {
 		return fail(fmt.Errorf("dsms: handshake: %w", err))

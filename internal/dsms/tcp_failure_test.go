@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -209,6 +210,34 @@ func TestTCPDialSourceCleanClose(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "server closed connection") {
 		t.Fatalf("clean close lacks context: %v", err)
+	}
+}
+
+// TestTCPDialSourceResetClose forces the reset that makes a server's
+// close surface as ECONNRESET instead of EOF: the fake server aborts the
+// connection with SO_LINGER 0 after its preamble. A reset at a frame
+// boundary is a clean close and must classify as core.ErrPeerClosed,
+// with the socket error kept inspectable.
+func TestTCPDialSourceResetClose(t *testing.T) {
+	addr := fakeServer(t, func(conn net.Conn) {
+		// Wait for the client's preamble so its handshake write cannot
+		// race the reset; the failure is then observed on the read side.
+		io.ReadFull(conn, make([]byte, 6))
+		wire.WritePreamble(conn, wire.Version)
+		if err := conn.(*net.TCPConn).SetLinger(0); err != nil {
+			t.Error(err)
+		}
+		conn.Close()
+	})
+	_, err := DialSource(addr, "s", testCatalog())
+	if !errors.Is(err, core.ErrPeerClosed) {
+		t.Fatalf("reset during handshake: %v, want core.ErrPeerClosed", err)
+	}
+	if !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("reset during handshake: %v, want the ECONNRESET cause kept", err)
+	}
+	if !strings.Contains(err.Error(), "server closed connection") {
+		t.Fatalf("reset close lacks context: %v", err)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"syscall"
 
 	"streamkf/internal/core"
 	"streamkf/internal/trace"
@@ -179,8 +180,8 @@ func ReadPreamble(r io.Reader) (byte, error) {
 // compatible.
 func ReadPreambleFeatures(r io.Reader) (version, features byte, err error) {
 	var p [preambleLen]byte
-	if _, err := io.ReadFull(r, p[:]); err != nil {
-		return 0, 0, mapReadErr(err, false)
+	if n, err := io.ReadFull(r, p[:]); err != nil {
+		return 0, 0, mapReadErr(err, n > 0)
 	}
 	if [4]byte(p[:4]) != Magic {
 		return 0, 0, ErrBadMagic
@@ -198,16 +199,34 @@ func CheckVersion(got byte) error {
 
 // mapReadErr classifies a short read: a clean EOF at a message boundary
 // becomes core.ErrPeerClosed, an EOF inside a message becomes
-// core.ErrTruncated. midMessage forces the truncation classification for
-// reads that began after a frame header was already consumed.
+// core.ErrTruncated. midMessage marks reads that had already consumed
+// part of a message. A connection reset is classified the same way (see
+// MapConnErr).
 func mapReadErr(err error, midMessage bool) error {
 	if errors.Is(err, io.EOF) && !midMessage {
 		return core.ErrPeerClosed
 	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || (midMessage && isReset(err)) {
 		return fmt.Errorf("%w: %v", core.ErrTruncated, err)
 	}
+	return MapConnErr(err)
+}
+
+// MapConnErr classifies a failed read or write at a message boundary.
+// A peer that closes its socket with unread data in its receive buffer,
+// or with SO_LINGER 0, sends a reset rather than a FIN, so a clean close
+// can surface as ECONNRESET (or EPIPE on a later write) instead of EOF,
+// depending on timing. Both become core.ErrPeerClosed, wrapping the
+// socket error; any other error is returned unchanged.
+func MapConnErr(err error) error {
+	if isReset(err) {
+		return fmt.Errorf("%w: %w", core.ErrPeerClosed, err)
+	}
 	return err
+}
+
+func isReset(err error) bool {
+	return errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
 // Writer frames and buffers outbound messages. All methods append to an
@@ -508,9 +527,9 @@ func (r *Reader) Buffered() int { return r.br.Buffered() }
 // frame boundary returns core.ErrPeerClosed; a connection dropped
 // mid-frame returns core.ErrTruncated.
 func (r *Reader) Next() (Tag, []byte, error) {
-	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
+	if n, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
 		// A partial header is a truncation, not a clean close.
-		return 0, nil, mapReadErr(err, errors.Is(err, io.ErrUnexpectedEOF))
+		return 0, nil, mapReadErr(err, n > 0)
 	}
 	n := binary.LittleEndian.Uint32(r.hdr[:4])
 	if n == 0 {

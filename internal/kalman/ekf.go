@@ -18,9 +18,9 @@ type MeasFunc func(x *mat.Matrix) *mat.Matrix
 type JacobianFunc func(k int, x *mat.Matrix) *mat.Matrix
 
 // ekfWorkspace holds the scratch matrices an EKF needs per step. Unlike
-// the linear filter's workspace it carries no innovation-covariance
-// cache: the measurement Jacobian is re-evaluated at every Correct, so S
-// is never reusable across calls.
+// the linear filter, the EKF keeps no innovation-covariance cache: the
+// measurement Jacobian is re-evaluated at every Correct, so S is never
+// reusable across calls.
 type ekfWorkspace struct {
 	ht   *mat.Matrix // n x m: transpose of the current measurement Jacobian
 	nn1  *mat.Matrix // n x n

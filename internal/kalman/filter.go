@@ -13,12 +13,16 @@
 // protocol layer (internal/core).
 //
 // The per-reading hot path (Predict, Correct, NIS, LogLikelihood) is
-// allocation-free in steady state: every filter owns a workspace of
-// scratch matrices sized at construction and runs on the destination-
-// taking mat kernels. The kernels replicate the floating-point operation
-// order of the allocating API they replaced, so filter trajectories are
-// bit-identical to the historical implementation — the property the DKF
-// mirror-synchrony invariant rests on.
+// allocation-free in steady state. New picks one of two kernels from the
+// filter's shape. The paper's one-attribute streams (n ≤ 2 states, one
+// measurement, standard covariance update) run unrolled scalar
+// arithmetic with no scratch matrices (fixed.go); every other shape owns
+// a workspace of scratch matrices sized at construction and runs on the
+// destination-taking mat kernels. Both kernels replicate the
+// floating-point operation order of the allocating API they replaced,
+// products never fused into multiply-adds, so filter trajectories are
+// bit-identical to the historical implementation whichever kernel runs —
+// the property the DKF mirror-synchrony invariant rests on.
 package kalman
 
 import (
@@ -93,10 +97,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// workspace holds the scratch matrices one filter needs to run a full
-// predict/correct cycle without heap allocation, plus the cached
-// innovation covariance. Every Filter owns its workspace exclusively;
-// Clone builds a fresh one, so clones share nothing mutable.
+// workspace holds the scratch matrices a generic-kernel filter needs to
+// run a full predict/correct cycle without heap allocation, plus its
+// cached innovation covariance and inverse. Every such Filter owns its
+// workspace exclusively; Clone builds a fresh one, so clones share
+// nothing mutable.
 type workspace struct {
 	ht   *mat.Matrix // n x m: H^T, fixed for the filter's lifetime
 	nn1  *mat.Matrix // n x n scratch
@@ -111,13 +116,6 @@ type workspace struct {
 	s    *mat.Matrix // m x m: innovation covariance S = H P H^T + R
 	sInv *mat.Matrix // m x m: S^-1
 	mm   *mat.Matrix // m x m scratch for InverseInto
-
-	// sValid marks s/sInv/sDet as current for the present (x, P, R).
-	// Correct, NIS and LogLikelihood share the cached triple, so the DKF
-	// source path (NIS gate followed by Correct on the same prediction)
-	// builds and inverts S once instead of twice.
-	sValid bool
-	sDet   float64
 }
 
 func newWorkspace(h *mat.Matrix) *workspace {
@@ -160,7 +158,17 @@ type Filter struct {
 	corrected bool        // whether Correct has run since the last Predict
 	joseph    bool        // use the Joseph stabilized covariance update
 
-	ws *workspace
+	kern kernel     // arithmetic picked from the shape (see fixed.go)
+	ws   *workspace // generic kernel only; nil for the fixed-size kernels
+
+	// sValid marks the cached innovation covariance (sDet, and S⁻¹ in
+	// sInv or ws.sInv) as current for the present (x, P, R). Correct,
+	// NIS and LogLikelihood share it, so the DKF source path (NIS gate
+	// followed by Correct on the same prediction) builds and inverts S
+	// once instead of twice.
+	sValid bool
+	sDet   float64
+	sInv   float64 // S⁻¹ of the fixed-size kernels, where m = 1
 }
 
 // New constructs a Filter from cfg, validating dimensions.
@@ -172,7 +180,7 @@ func New(cfg Config) (*Filter, error) {
 	if p0 == nil {
 		p0 = mat.ScaledIdentity(cfg.X0.Rows(), 1e3)
 	}
-	return &Filter{
+	f := &Filter{
 		phi:    cfg.Phi,
 		h:      cfg.H.Clone(),
 		q:      cfg.Q.Clone(),
@@ -180,8 +188,12 @@ func New(cfg Config) (*Filter, error) {
 		x:      cfg.X0.Clone(),
 		p:      p0.Clone(),
 		joseph: cfg.JosephForm,
-		ws:     newWorkspace(cfg.H),
-	}, nil
+		kern:   pickKernel(cfg.X0.Rows(), cfg.H.Rows(), cfg.JosephForm),
+	}
+	if f.kern == kernGeneric {
+		f.ws = newWorkspace(f.h)
+	}
+	return f, nil
 }
 
 // MustNew is New but panics on configuration error. For tests and
@@ -235,17 +247,24 @@ func (f *Filter) Innovation() *mat.Matrix {
 // After Predict, State/PredictedMeasurement report the a priori estimate.
 func (f *Filter) Predict() {
 	phi := f.phi(f.k)
-	ws := f.ws
-	mat.MulInto(ws.n1, phi, f.x)
-	f.x, ws.n1 = ws.n1, f.x
-	mat.MulInto(ws.nn1, phi, f.p)
-	mat.TransposeInto(ws.nn2, phi)
-	mat.MulInto(ws.nn3, ws.nn1, ws.nn2)
-	mat.AddInto(ws.nn3, ws.nn3, f.q)
-	mat.SymmetrizeInto(f.p, ws.nn3)
+	switch f.kern {
+	case kernN1:
+		f.predict1(phi)
+	case kernN2:
+		f.predict2(phi)
+	default:
+		ws := f.ws
+		mat.MulInto(ws.n1, phi, f.x)
+		f.x, ws.n1 = ws.n1, f.x
+		mat.MulInto(ws.nn1, phi, f.p)
+		mat.TransposeInto(ws.nn2, phi)
+		mat.MulInto(ws.nn3, ws.nn1, ws.nn2)
+		mat.AddInto(ws.nn3, ws.nn3, f.q)
+		mat.SymmetrizeInto(f.p, ws.nn3)
+	}
 	f.k++
 	f.corrected = false
-	ws.sValid = false
+	f.sValid = false
 }
 
 // PredictedMeasurement returns H x, the measurement the filter expects
@@ -259,6 +278,10 @@ func (f *Filter) PredictedMeasurement() *mat.Matrix {
 // allocating, and returns dst. The protocol layer keeps a reusable
 // destination per node to stay off the heap on every reading.
 func (f *Filter) PredictedMeasurementInto(dst *mat.Matrix) *mat.Matrix {
+	if f.kern != kernGeneric && dst.Rows() == 1 && dst.Cols() == 1 {
+		dst.Raw()[0] = f.hx()
+		return dst
+	}
 	return mat.MulInto(dst, f.h, f.x)
 }
 
@@ -275,10 +298,16 @@ func (f *Filter) checkMeasurement(z *mat.Matrix) error {
 // are still current. This is the single home of the computation Correct,
 // NIS and LogLikelihood previously each rebuilt from scratch.
 func (f *Filter) refreshS() error {
-	ws := f.ws
-	if ws.sValid {
+	if f.sValid {
 		return nil
 	}
+	switch f.kern {
+	case kernN1:
+		return f.refreshS1()
+	case kernN2:
+		return f.refreshS2()
+	}
+	ws := f.ws
 	mat.MulInto(ws.mn, f.h, f.p)
 	mat.MulInto(ws.s, ws.mn, ws.ht)
 	mat.AddInto(ws.s, ws.s, f.r)
@@ -286,18 +315,24 @@ func (f *Filter) refreshS() error {
 	if err != nil {
 		return err
 	}
-	ws.sDet = det
-	ws.sValid = true
+	f.sDet = det
+	f.sValid = true
 	return nil
 }
 
-// quadForm returns d^T S^-1 d using the cached S^-1, replicating the
+// residualQuad returns d^T S^-1 d for d = z - H x, using the cached
+// S^-1 (refreshS must have run). The generic kernel replicates the
 // left-associated evaluation order of mat.Mul3(Transpose(d), sInv, d).
-func (f *Filter) quadForm(d *mat.Matrix) float64 {
+func (f *Filter) residualQuad(z *mat.Matrix) float64 {
+	if f.kern != kernGeneric {
+		return f.quadScalar(z.Raw()[0] - f.hx())
+	}
 	ws := f.ws
-	mat.TransposeInto(ws.row1, d)
+	mat.MulInto(ws.m1, f.h, f.x)
+	mat.SubInto(ws.m1, z, ws.m1)
+	mat.TransposeInto(ws.row1, ws.m1)
 	mat.MulInto(ws.row2, ws.row1, ws.sInv)
-	return mat.Dot(ws.row2, d)
+	return mat.Dot(ws.row2, ws.m1)
 }
 
 // Correct folds measurement z (m x 1) into the state estimate:
@@ -315,13 +350,23 @@ func (f *Filter) Correct(z *mat.Matrix) error {
 	if err := f.refreshS(); err != nil {
 		return fmt.Errorf("kalman: innovation covariance not invertible: %w", err)
 	}
-	ws := f.ws
 	if f.gain == nil {
 		f.gain = mat.New(f.x.Rows(), f.h.Rows())
 	}
 	if f.innov == nil {
 		f.innov = mat.New(f.h.Rows(), 1)
 	}
+	f.sValid = false
+	f.corrected = true
+	switch f.kern {
+	case kernN1:
+		f.correct1(z.Raw()[0])
+		return nil
+	case kernN2:
+		f.correct2(z.Raw()[0])
+		return nil
+	}
+	ws := f.ws
 	// K = P H^T S^-1.
 	mat.MulInto(ws.nm, f.p, ws.ht)
 	mat.MulInto(f.gain, ws.nm, ws.sInv)
@@ -347,8 +392,6 @@ func (f *Filter) Correct(z *mat.Matrix) error {
 		mat.MulInto(ws.nn2, ws.nn1, f.p)
 		mat.SymmetrizeInto(f.p, ws.nn2)
 	}
-	ws.sValid = false
-	f.corrected = true
 	return nil
 }
 
@@ -376,10 +419,7 @@ func (f *Filter) NIS(z *mat.Matrix) (float64, error) {
 	if err := f.refreshS(); err != nil {
 		return 0, fmt.Errorf("kalman: innovation covariance not invertible: %w", err)
 	}
-	ws := f.ws
-	mat.MulInto(ws.m1, f.h, f.x)
-	mat.SubInto(ws.m1, z, ws.m1)
-	return f.quadForm(ws.m1), nil
+	return f.residualQuad(z), nil
 }
 
 // LogLikelihood returns the Gaussian log-likelihood of measurement z
@@ -397,21 +437,19 @@ func (f *Filter) LogLikelihood(z *mat.Matrix) (float64, error) {
 	if err := f.refreshS(); err != nil {
 		return 0, fmt.Errorf("kalman: innovation covariance not positive definite (det %v)", 0.0)
 	}
-	if f.ws.sDet <= 0 {
-		return 0, fmt.Errorf("kalman: innovation covariance not positive definite (det %v)", f.ws.sDet)
+	if f.sDet <= 0 {
+		return 0, fmt.Errorf("kalman: innovation covariance not positive definite (det %v)", f.sDet)
 	}
-	ws := f.ws
-	mat.MulInto(ws.m1, f.h, f.x)
-	mat.SubInto(ws.m1, z, ws.m1)
-	quad := f.quadForm(ws.m1)
+	quad := f.residualQuad(z)
 	m := float64(f.h.Rows())
-	return -0.5 * (m*math.Log(2*math.Pi) + math.Log(f.ws.sDet) + quad), nil
+	return -0.5 * (float64(m*math.Log(2*math.Pi)) + math.Log(f.sDet) + quad), nil
 }
 
 // Clone returns a deep copy of the filter sharing only the (stateless)
 // transition function. The DKF protocol clones the server filter to build
-// the byte-identical mirror filter at the source. The clone owns a fresh
-// workspace, so the pair share no mutable matrix whatsoever.
+// the byte-identical mirror filter at the source. The clone runs the same
+// kernel and owns its own storage (a fresh workspace, for the generic
+// kernel), so the pair share no mutable matrix whatsoever.
 func (f *Filter) Clone() *Filter {
 	c := &Filter{
 		phi:       f.phi,
@@ -423,7 +461,10 @@ func (f *Filter) Clone() *Filter {
 		k:         f.k,
 		corrected: f.corrected,
 		joseph:    f.joseph,
-		ws:        newWorkspace(f.h),
+		kern:      f.kern,
+	}
+	if f.ws != nil {
+		c.ws = newWorkspace(c.h)
 	}
 	if f.gain != nil {
 		c.gain = f.gain.Clone()
@@ -455,7 +496,7 @@ func (f *Filter) Reset(x0, p0 *mat.Matrix) {
 	f.k = 0
 	f.gain, f.innov = nil, nil
 	f.corrected = false
-	f.ws.sValid = false
+	f.sValid = false
 }
 
 // Restore overwrites the filter's state estimate, covariance and
@@ -480,7 +521,7 @@ func (f *Filter) Restore(x, p *mat.Matrix, k int) {
 	f.k = k
 	f.gain, f.innov = nil, nil
 	f.corrected = false
-	f.ws.sValid = false
+	f.sValid = false
 }
 
 // SetNoise replaces the process and/or measurement noise covariances.
@@ -498,6 +539,6 @@ func (f *Filter) SetNoise(q, r *mat.Matrix) {
 			panic(fmt.Sprintf("kalman: SetNoise R is %dx%d, want %dx%d", r.Rows(), r.Cols(), f.r.Rows(), f.r.Cols()))
 		}
 		f.r = r.Clone()
-		f.ws.sValid = false
+		f.sValid = false
 	}
 }

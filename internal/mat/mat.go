@@ -176,6 +176,14 @@ func (m *Matrix) VecSlice() []float64 {
 	return out
 }
 
+// Raw returns m's row-major backing storage itself, not a copy: writes
+// through it change m. It is the one raw-storage escape hatch, for
+// fixed-size kernels that run on matrices of a known shape without the
+// per-call dimension checks of the Into kernels (internal/kalman's n ≤ 2
+// filters). Such a kernel must check the shape itself and must not keep
+// the slice past the call, since Reshape may replace it.
+func (m *Matrix) Raw() []float64 { return m.data }
+
 // Add returns a + b.
 func Add(a, b *Matrix) *Matrix {
 	sameDims("Add", a, b)
