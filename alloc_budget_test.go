@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"streamkf/internal/core"
+	"streamkf/internal/gen"
 	"streamkf/internal/mat"
 	"streamkf/internal/model"
 	"streamkf/internal/stream"
@@ -77,16 +78,14 @@ func TestFilterStepAllocBudget(t *testing.T) {
 	}
 }
 
-// sourceProcessAllocs measures the steady-state suppressed-path
-// allocation cost of SourceNode.Process, optionally with a flight
-// recorder attached.
-func sourceProcessAllocs(t *testing.T, traced bool) float64 {
+// sourceProcessAllocs measures the steady-state allocation cost of
+// SourceNode.Process for model m at precision delta, optionally with a
+// flight recorder attached. wantSent says which path every reading
+// after the bootstrap must take: a huge δ suppresses them all, a tiny δ
+// with a quadratic input transmits them all.
+func sourceProcessAllocs(t *testing.T, m model.Model, delta float64, wantSent, traced bool) float64 {
 	t.Helper()
-	node, err := core.NewSourceNode(core.Config{
-		SourceID: "s1",
-		Model:    model.Linear(1, 1, 0.05, 0.05),
-		Delta:    1e9, // everything after bootstrap is suppressed
-	})
+	node, err := core.NewSourceNode(core.Config{SourceID: "s1", Model: m, Delta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +97,17 @@ func sourceProcessAllocs(t *testing.T, traced bool) float64 {
 	offer := func() {
 		r.Seq = seq
 		r.Time = float64(seq)
-		r.Values[0] = float64(seq)
+		r.Values[0] = float64(seq) * float64(seq)
 		seq++
-		u, _, err := node.Process(r)
+		u, est, err := node.Process(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if u != nil && seq > 1 {
-			t.Fatalf("reading %d transmitted under δ=1e9", seq-1)
+		if seq > 1 && (u != nil) != wantSent {
+			t.Fatalf("reading %d: sent=%v under δ=%v, want %v", seq-1, u != nil, delta, wantSent)
+		}
+		if len(est) != 1 {
+			t.Fatalf("reading %d: estimate has %d values", seq-1, len(est))
 		}
 	}
 	// Bootstrap plus warm-up so lazy one-time allocations do not count.
@@ -115,17 +117,76 @@ func sourceProcessAllocs(t *testing.T, traced bool) float64 {
 	return testing.AllocsPerRun(200, offer)
 }
 
-// TestSourceProcessTraceAllocBudget pins the tracing zero-cost
-// contract at the source. The suppressed path's only allocation is the
-// VecSlice copy of the returned estimate (pre-tracing baseline);
-// attaching a recorder — which logs predict and decision events for
-// every suppressed reading — must not add a single allocation on top.
+// processAllocModels are the one-attribute catalogue shapes the source
+// hot path is gated on: the paper's linear ramp model and the constant
+// model of the transport benchmarks.
+var processAllocModels = []struct {
+	name string
+	m    model.Model
+}{
+	{"linear", model.Linear(1, 1, 0.05, 0.05)},
+	{"constant", model.Constant(1, 0.05, 0.05)},
+}
+
+// TestSourceProcessTraceAllocBudget pins the suppressed path of
+// SourceNode.Process at 0 allocs/op, with and without a flight recorder
+// that logs predict and decision events for every reading: the
+// returned estimate is the node's own buffer, and tracing is free.
 func TestSourceProcessTraceAllocBudget(t *testing.T) {
-	base := sourceProcessAllocs(t, false)
-	if base > 1 {
-		t.Errorf("untraced suppressed Process allocates %v/op, want <= 1 (estimate copy)", base)
+	for _, tc := range processAllocModels {
+		for _, traced := range []bool{false, true} {
+			if got := sourceProcessAllocs(t, tc.m, 1e9, false, traced); got != 0 {
+				t.Errorf("%s: suppressed Process (traced=%v) allocates %v/op, want 0", tc.name, traced, got)
+			}
+		}
 	}
-	if got := sourceProcessAllocs(t, true); got != base {
-		t.Errorf("traced suppressed Process allocates %v/op, untraced %v/op — tracing must be free", got, base)
+}
+
+// TestSourceProcessSendAllocBudget pins the transmit path at 0
+// allocs/op, traced and untraced: the update Process returns is the
+// node's own, its Values filled by copy, so a source that sends every
+// reading makes no garbage either.
+func TestSourceProcessSendAllocBudget(t *testing.T) {
+	for _, tc := range processAllocModels {
+		for _, traced := range []bool{false, true} {
+			if got := sourceProcessAllocs(t, tc.m, 1e-6, true, traced); got != 0 {
+				t.Errorf("%s: transmitting Process (traced=%v) allocates %v/op, want 0", tc.name, traced, got)
+			}
+		}
+	}
+}
+
+// TestDKFStepAllocBudget gates one full protocol step — source
+// decision, transmission, server advance and answer — on the budget
+// BENCH_BASELINE.json pins for BenchmarkDKFStepLinear2D. The source
+// side allocates nothing; the one allocation left is the copy
+// ServerNode.Estimate hands the caller.
+func TestDKFStepAllocBudget(t *testing.T) {
+	budget, ok := filterStepBudgets(t)["BenchmarkDKFStepLinear2D"]
+	if !ok {
+		t.Fatal("BENCH_BASELINE.json has no BenchmarkDKFStepLinear2D entry")
+	}
+	sess, err := core.NewSession(core.Config{SourceID: "s1", Model: model.Linear(2, 0.1, 0.05, 0.05), Delta: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := gen.MovingObject(gen.DefaultMovingObject())
+	i := 0
+	step := func() {
+		r := data[i%len(data)]
+		r.Seq = i
+		i++
+		if _, err := sess.Step(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < 5; j++ {
+		step()
+	}
+	if got := int64(testing.AllocsPerRun(500, step)); got > budget {
+		t.Errorf("DKF step allocates %d/op, budget %d/op (BENCH_BASELINE.json)", got, budget)
+	}
+	if sess.Metrics().Updates < 2 {
+		t.Fatalf("only %d updates over %d steps: the gate never timed a send", sess.Metrics().Updates, i)
 	}
 }

@@ -125,12 +125,14 @@ type SourceNode struct {
 	outliers  int              // consecutive rejected readings
 	stats     SourceStats
 
-	// Reusable buffers for the per-reading hot path. zbuf carries the
-	// measurement into NIS/Correct; predBuf receives H x. Slices handed
-	// back to callers are always freshly allocated — only the matrix
-	// intermediates are recycled.
+	// Reusable buffers for the per-reading hot path, so steady-state
+	// Process allocates nothing. zbuf carries the measurement into
+	// NIS/Correct; predBuf receives H x and its storage is the estimate
+	// Process returns; out is the update Process returns, its Values
+	// filled by copy. Callers borrow both until the next Process call.
 	zbuf       *mat.Matrix
 	predBuf    *mat.Matrix
+	out        Update
 	smoothBuf  []float64
 	smoothZ    *mat.Matrix // 1 x 1 measurement for the KFc bank
 	smoothPred *mat.Matrix // 1 x 1 prediction from the KFc bank
@@ -166,7 +168,12 @@ func NewSourceNode(cfg Config) (*SourceNode, error) {
 	}
 	cfg.applyDefaults()
 	m := cfg.Model.MeasDim
-	return &SourceNode{cfg: cfg, zbuf: mat.New(m, 1), predBuf: mat.New(m, 1)}, nil
+	return &SourceNode{
+		cfg:     cfg,
+		zbuf:    mat.New(m, 1),
+		predBuf: mat.New(m, 1),
+		out:     Update{SourceID: cfg.SourceID, Values: make([]float64, m)},
+	}, nil
 }
 
 // smooth returns the measurement KFm tracks for the raw reading values:
@@ -187,7 +194,7 @@ func (s *SourceNode) smooth(raw []float64) ([]float64, error) {
 			}
 			s.smoothers[i] = f
 		}
-		return clone(raw), nil
+		return raw, nil
 	}
 	if s.smoothBuf == nil {
 		s.smoothBuf = make([]float64, len(raw))
@@ -234,6 +241,11 @@ func (s *SourceNode) LastDecision() trace.DecisionInfo { return s.lastDec }
 // the reading must be transmitted to the server, and the value the server
 // will be answering queries with after this step (the mirrored server
 // estimate).
+//
+// Both results are borrowed from the node, so steady-state Process
+// allocates nothing: the Update (its Values included) and the estimate
+// slice stay valid only until the next Process or SkipTick call. A
+// caller or Transport that keeps either past that must copy it.
 func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 	if len(r.Values) != s.cfg.Model.MeasDim {
 		return nil, nil, fmt.Errorf("core: reading has %d values, model %s wants %d", len(r.Values), s.cfg.Model.Name, s.cfg.Model.MeasDim)
@@ -261,18 +273,16 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 			return nil, nil, err
 		}
 		s.mirror = f
-		u := &Update{SourceID: s.cfg.SourceID, Seq: r.Seq, Time: r.Time, Values: clone(v), Bootstrap: true}
-		s.stats.Updates++
-		s.stats.BytesSent += u.WireBytes()
-		s.lastDec = trace.DecisionInfo{TraceID: traceID, Seq: seq, Decision: trace.DecisionBootstrap, Raw: raw, Smoothed: v[0], Delta: s.cfg.Delta}
+		u := s.emit(r, v, true)
+		s.decide(traceID, seq, trace.DecisionBootstrap, raw, v[0], 0, 0, 0)
 		if s.tr != nil {
 			s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindDecision, Dec: trace.DecisionBootstrap, Raw: raw, Value: v[0], Delta: s.cfg.Delta})
 		}
-		return u, s.mirror.PredictedMeasurementInto(s.predBuf).VecSlice(), nil
+		return u, s.mirror.PredictedMeasurementInto(s.predBuf).Raw(), nil
 	}
 
 	s.mirror.Predict()
-	pred := s.mirror.PredictedMeasurementInto(s.predBuf).VecSlice()
+	pred := s.mirror.PredictedMeasurementInto(s.predBuf).Raw()
 	// The max-abs residual both decides suppression (residual <= δ is
 	// exactly stream.WithinPrecision) and is the numeric evidence the
 	// trace records.
@@ -282,7 +292,7 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 		// The server's prediction is good enough: suppress.
 		s.stats.Suppressed++
 		s.outliers = 0
-		s.lastDec = trace.DecisionInfo{TraceID: traceID, Seq: seq, Decision: trace.DecisionSuppress, Raw: raw, Smoothed: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta}
+		s.decide(traceID, seq, trace.DecisionSuppress, raw, v[0], pred[0], residual, 0)
 		if sampled {
 			s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindPredict, Raw: raw, Value: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta})
 			s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindDecision, Dec: trace.DecisionSuppress, Raw: raw, Value: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta})
@@ -304,7 +314,7 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 				// prediction, exactly as the server will, so synchrony holds.
 				s.outliers++
 				s.stats.OutliersRejected++
-				s.lastDec = trace.DecisionInfo{TraceID: traceID, Seq: seq, Decision: trace.DecisionOutlier, Raw: raw, Smoothed: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta, NIS: nis}
+				s.decide(traceID, seq, trace.DecisionOutlier, raw, v[0], pred[0], residual, nis)
 				if s.tr != nil {
 					s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindDecision, Dec: trace.DecisionOutlier, Raw: raw, Value: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta, NIS: nis})
 				}
@@ -317,14 +327,35 @@ func (s *SourceNode) Process(r stream.Reading) (*Update, []float64, error) {
 	if err := s.mirror.Correct(z); err != nil {
 		return nil, nil, err
 	}
-	u := &Update{SourceID: s.cfg.SourceID, Seq: r.Seq, Time: r.Time, Values: clone(v)}
-	s.stats.Updates++
-	s.stats.BytesSent += u.WireBytes()
-	s.lastDec = trace.DecisionInfo{TraceID: traceID, Seq: seq, Decision: trace.DecisionSend, Raw: raw, Smoothed: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta, NIS: lastNIS}
+	u := s.emit(r, v, false)
+	// pred still holds the pre-correction prediction here: predBuf is
+	// refilled with the corrected estimate only on return.
+	s.decide(traceID, seq, trace.DecisionSend, raw, v[0], pred[0], residual, lastNIS)
 	if s.tr != nil {
 		s.tr.Record(&trace.Event{TraceID: traceID, Seq: seq, Kind: trace.KindDecision, Dec: trace.DecisionSend, Raw: raw, Value: v[0], Pred: pred[0], Residual: residual, Delta: s.cfg.Delta, NIS: lastNIS})
 	}
-	return u, s.mirror.PredictedMeasurementInto(s.predBuf).VecSlice(), nil
+	return u, s.mirror.PredictedMeasurementInto(s.predBuf).Raw(), nil
+}
+
+// emit fills the node-owned update for a transmitted reading and counts
+// it. Values is filled by copy, so the caller's reading buffer (or the
+// smoother's output) can change freely afterwards.
+func (s *SourceNode) emit(r stream.Reading, v []float64, bootstrap bool) *Update {
+	u := &s.out
+	u.SourceID, u.Seq, u.Time, u.Bootstrap = s.cfg.SourceID, r.Seq, r.Time, bootstrap
+	u.Values = append(u.Values[:0], v...)
+	s.stats.Updates++
+	s.stats.BytesSent += u.WireBytes()
+	return u
+}
+
+// decide records the evidence of the latest decision in lastDec field
+// by field: assigning a composite literal instead builds a temporary
+// and block-copies it on every reading.
+func (s *SourceNode) decide(traceID, seq int64, dec trace.Decision, raw, smoothed, pred, residual, nis float64) {
+	d := &s.lastDec
+	d.TraceID, d.Seq, d.Decision, d.At = traceID, seq, dec, 0
+	d.Raw, d.Smoothed, d.Pred, d.Residual, d.Delta, d.NIS = raw, smoothed, pred, residual, s.cfg.Delta, nis
 }
 
 // maxAbsResidual returns max_i |pred[i] - v[i]| — the residual the

@@ -10,13 +10,15 @@ import (
 // sensor chose not to take a measurement at all (adaptive sampling,
 // future work item 5). It returns the mirrored server estimate for that
 // step. The server needs no message: its lazy AdvanceTo covers skipped
-// steps identically, so mirror synchrony is preserved.
+// steps identically, so mirror synchrony is preserved. Like Process's
+// estimate, the returned slice is borrowed until the next Process or
+// SkipTick call.
 func (s *SourceNode) SkipTick() ([]float64, error) {
 	if s.mirror == nil {
 		return nil, fmt.Errorf("core: SkipTick before bootstrap")
 	}
 	s.mirror.Predict()
-	return s.mirror.PredictedMeasurement().VecSlice(), nil
+	return s.mirror.PredictedMeasurementInto(s.predBuf).Raw(), nil
 }
 
 // SampledMetrics extends the protocol metrics with sensing counters.
@@ -74,7 +76,7 @@ func NewSampledSession(cfg Config, sampler *AdaptiveSampler) (*SampledSession, e
 
 // Step processes one time step. The reading carries the true value so
 // metrics can report the real error, but the sensor only *uses* it on
-// scheduled steps.
+// scheduled steps. The returned estimate is the caller's own copy.
 func (s *SampledSession) Step(r stream.Reading) ([]float64, error) {
 	s.metrics.Readings++
 	var est []float64
@@ -109,7 +111,8 @@ func (s *SampledSession) Step(r stream.Reading) ([]float64, error) {
 	if e > s.metrics.MaxAbsErr {
 		s.metrics.MaxAbsErr = e
 	}
-	return est, nil
+	// est is the source node's borrowed estimate buffer.
+	return clone(est), nil
 }
 
 // priorError returns the a priori prediction error the sampler should

@@ -11,6 +11,12 @@ import (
 // Transport carries updates from a source to its server. Implementations
 // include the in-process DirectTransport here and the binary framed TCP
 // transport in internal/dsms.
+//
+// Send borrows the update: its Values is the source node's reused
+// buffer (see SourceNode.Process), valid only until Send returns. A
+// transport that keeps an update past Send — queued for a later write
+// or retained for a resend — must copy Values. Encoding it or folding
+// it into a ServerNode during the call needs no copy.
 type Transport interface {
 	// Send delivers one update to the server side.
 	Send(Update) error
@@ -231,7 +237,10 @@ func NewAdaptiveSampler(delta, alpha float64, maxStride int) (*AdaptiveSampler, 
 // Observe folds in the absolute prediction error of the latest sampled
 // reading and recomputes the stride.
 func (a *AdaptiveSampler) Observe(absErr float64) {
-	a.ewma = a.alpha*absErr + (1-a.alpha)*a.ewma
+	// Each product is rounded on its own (float64(...)), so no
+	// architecture fuses this into a multiply-add: arm64 would otherwise
+	// compute different bits from amd64 (see TestNoFusedMultiplyAdd).
+	a.ewma = float64(a.alpha*absErr) + float64((1-a.alpha)*a.ewma)
 	// Error well below δ → prediction is reliable → widen the stride.
 	ratio := a.ewma / a.delta
 	switch {

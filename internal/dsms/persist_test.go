@@ -1,15 +1,20 @@
 package dsms
 
 import (
+	"io"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"streamkf/internal/core"
+	"streamkf/internal/dsms/wire"
 	"streamkf/internal/gen"
+	"streamkf/internal/kalman"
 	"streamkf/internal/stream"
+	"streamkf/internal/trace"
 	"streamkf/internal/wal"
 )
 
@@ -123,7 +128,10 @@ func runReference(t *testing.T, q stream.Query, data []stream.Reading, stepAt in
 	}
 	var transcript []core.Update
 	agent, err := NewAgent(cfg, core.TransportFunc(func(u core.Update) error {
-		transcript = append(transcript, u)
+		// u.Values is the source node's buffer, borrowed for this call.
+		kept := u
+		kept.Values = append([]float64(nil), u.Values...)
+		transcript = append(transcript, kept)
 		return s.HandleUpdate(u)
 	}))
 	if err != nil {
@@ -619,10 +627,11 @@ func BenchmarkTCPIngestDurable(b *testing.B) {
 	}
 	defer agent.Close()
 
+	vals := make([]float64, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sent, err := agent.Offer(benchReading(i, 0))
+		sent, err := agent.Offer(benchReading(vals, i, 0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -632,5 +641,179 @@ func BenchmarkTCPIngestDurable(b *testing.B) {
 	}
 	if err := agent.Drain(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestRemoteAgentResendOwnsValues: the updates a RemoteAgent keeps for
+// Reconnect must own their Values. SourceNode.Process hands every
+// transmitted update the node's one reused buffer, so a pending window
+// that aliased it would resend the newest reading under every older
+// sequence number. The stream runs three windows: one acked and made
+// durable, one held unacked by a stalled server that then dies, and one
+// after reconnecting to the recovered durable server. Every update the
+// recovered server applies must be Float64bits-equal to the in-process
+// SourceNode/ServerNode reference.
+func TestRemoteAgentResendOwnsValues(t *testing.T) {
+	const window = 4
+	q := stream.Query{ID: "q-own", SourceID: "own", Delta: 1e-6, Model: "linear"}
+	data := persistData(3 * window)
+
+	dir := t.TempDir()
+	opts := DurabilityOptions{Sync: wal.SyncAlways}
+	s1, err := Open(testCatalog(), dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegister(t, s1, q)
+	cfg, err := s1.InstallFor(q.SourceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Reference: every reading transmits under the tiny δ.
+	src, err := core.NewSourceNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := core.NewServerNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []core.Update
+	for _, r := range data {
+		u, _, err := src.Process(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u == nil {
+			t.Fatalf("reading %d suppressed under δ=%v", r.Seq, q.Delta)
+		}
+		kept := *u
+		kept.Values = append([]float64(nil), u.Values...)
+		want = append(want, kept)
+		if err := srv.ApplyUpdate(*u); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Window one: acked and durable, then the server crashes.
+	ts1, err := NewTCPServer(s1, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ts1.Serve()
+	addr := ts1.Addr()
+	agent, err := DialSourceOptions(addr, q.SourceID, testCatalog(), DialOptions{Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	offer := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if sent, err := agent.Offer(data[i]); err != nil || !sent {
+				t.Fatalf("offer %d: sent=%v err=%v", i, sent, err)
+			}
+		}
+	}
+	awaitErr := func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for agent.Err() == nil {
+			if time.Now().After(deadline) {
+				t.Fatal("transport error never surfaced after the server died")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	offer(0, window)
+	if err := agent.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+	awaitErr()
+
+	// Window two: a stalled server on the same address installs the
+	// stream, swallows every frame without acking, and is then killed.
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("rebinding %s: %v", addr, err)
+	}
+	stalled := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		rd, w := wire.NewReader(conn, 0, 0), wire.NewWriter(conn, 0, 0)
+		if _, err := rd.ReadPreamble(); err != nil {
+			conn.Close()
+			return
+		}
+		if _, _, err := rd.Next(); err != nil { // hello
+			conn.Close()
+			return
+		}
+		w.WritePreamble(wire.Version)
+		w.Install(q.SourceID, q.Model, q.Delta, 0, int64(data[window-1].Seq))
+		w.Flush()
+		stalled <- conn
+		io.Copy(io.Discard, conn)
+	}()
+	if err := agent.Reconnect(); err != nil {
+		t.Fatalf("Reconnect to the stalled server: %v", err)
+	}
+	offer(window, 2*window)
+	ln.Close()
+	(<-stalled).Close()
+	awaitErr()
+
+	// Window three: the recovered durable server gets the unacked
+	// window resent, then the rest of the stream.
+	s2, err := Open(testCatalog(), dir, opts)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer s2.Close()
+	s2.EnableTracing(trace.Options{})
+	if rs := s2.ResumeSeq(q.SourceID); rs != int64(data[window-1].Seq) {
+		t.Fatalf("recovered to seq %d, want %d", rs, data[window-1].Seq)
+	}
+	ts2, err := NewTCPServer(s2, addr)
+	if err != nil {
+		t.Fatalf("rebinding %s: %v", addr, err)
+	}
+	go ts2.Serve()
+	defer ts2.Close()
+	if err := agent.Reconnect(); err != nil {
+		t.Fatalf("Reconnect to the recovered server: %v", err)
+	}
+	offer(2*window, 3*window)
+	if err := agent.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := s2.sources[q.SourceID]
+	st.mu.Lock()
+	evs := st.rec.Events()
+	same := kalman.StateEqual(st.node.Filter(), srv.Filter())
+	st.mu.Unlock()
+	var applied []trace.Event
+	for _, ev := range evs {
+		if ev.Kind == trace.KindApply {
+			applied = append(applied, ev)
+		}
+	}
+	if len(applied) != len(want)-window {
+		t.Fatalf("recovered server applied %d updates, want %d", len(applied), len(want)-window)
+	}
+	for i, ev := range applied {
+		w := want[window+i]
+		if ev.Seq != int64(w.Seq) || math.Float64bits(ev.Value) != math.Float64bits(w.Values[0]) {
+			t.Errorf("apply %d: seq %d value %v, reference seq %d value %v", i, ev.Seq, ev.Value, w.Seq, w.Values[0])
+		}
+	}
+	if !same {
+		t.Fatal("recovered server filter differs from the reference ServerNode")
 	}
 }

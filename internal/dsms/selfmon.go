@@ -325,9 +325,8 @@ func (m *SelfMonitor) Close() {
 // Tick runs one self-observation cycle: snapshot the registry into the
 // history ring, read every signal, feed the fed ones through their DKF
 // pairs, turn δ-violations and fresh whiteness failures into findings,
-// and refresh the verdict. Steady state (all signals suppressed) costs
-// one small allocation per fed signal — SourceNode.Process's estimate
-// copy, the contract pinned by TestSelfStreamAllocBudget.
+// and refresh the verdict. Steady state (all signals suppressed)
+// allocates nothing, the contract pinned by TestSelfStreamAllocBudget.
 func (m *SelfMonitor) Tick(now time.Time) {
 	m.ring.Snapshot(now)
 	m.mu.Lock()

@@ -162,10 +162,10 @@ func TestSelfMonIntermittentSignalSync(t *testing.T) {
 }
 
 // TestSelfStreamAllocBudget pins the steady-state cost of a
-// self-monitoring tick on an engineless server: at most one small
-// allocation per fed signal — SourceNode.Process's estimate copy, the
-// same pre-existing contract TestSourceProcessTraceAllocBudget pins —
-// and nothing from the ring snapshot or the signal reads.
+// self-monitoring tick on an engineless server at 0 allocations: the
+// fed signals' SourceNode.Process calls lend their estimates and
+// updates (the contract TestSourceProcessTraceAllocBudget pins), and
+// the ring snapshot and signal reads allocate nothing either.
 func TestSelfStreamAllocBudget(t *testing.T) {
 	s := NewServer(testCatalog())
 	m, err := s.EnableSelfMon(SelfMonOptions{Every: time.Second})
@@ -190,8 +190,8 @@ func TestSelfStreamAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		clk.tick(m)
 	})
-	if allocs > float64(fed) {
-		t.Fatalf("steady-state Tick allocates %.1f/op with %d fed signals, want <= %d (one estimate copy per fed signal)", allocs, fed, fed)
+	if allocs != 0 {
+		t.Fatalf("steady-state Tick allocates %.1f/op with %d fed signals, want 0", allocs, fed)
 	}
 }
 

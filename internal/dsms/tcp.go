@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"streamkf/internal/core"
 	"streamkf/internal/dsms/wire"
@@ -498,12 +499,19 @@ type RemoteAgent struct {
 	sendTimes   []int64 // send timestamps parallel to outstanding (telemetry only)
 	// pending retains the unacked updates themselves (parallel to
 	// outstanding) so a reconnect can resend exactly what a crashed
-	// server may have lost. Process hands each transmitted update a
-	// fresh Values slice, so retention adds no per-send allocations.
+	// server may have lost. Process lends each transmitted update the
+	// source node's reused Values buffer, so retain copies it into a
+	// slice from free and release returns it when the update leaves
+	// pending: steady state recycles about a window of slices and
+	// allocates none.
 	pending   []core.Update
+	free      [][]float64
 	lastAcked int64 // highest cumulatively acked seq (-1 before any)
-	err       error // sticky transport/server error
+	err       error // sticky transport/server error; set through setErr
 	closing   bool  // suppresses the close-induced read error
+	// broken mirrors err != nil so Offer can test for the sticky error
+	// without taking mu on every reading.
+	broken atomic.Bool
 
 	// wireTrace is true when both sides opted into trace frames: the
 	// agent asked for tracing and the connected server advertised
@@ -674,12 +682,12 @@ func (r *RemoteAgent) readLoop(rd *wire.Reader) {
 					r.sendTimes = r.sendTimes[:copy(r.sendTimes, r.sendTimes[n:])]
 				}
 				r.outstanding = r.outstanding[:copy(r.outstanding, r.outstanding[n:])]
-				r.pending = r.pending[:copy(r.pending, r.pending[n:])]
+				r.release(n)
 				r.ins.setWindow(len(r.outstanding))
 			}
 			if r.err == nil && r.w.Buffered() > 0 {
 				if err := r.w.Flush(); err != nil {
-					r.err = fmt.Errorf("dsms: send: %w", err)
+					r.setErr(fmt.Errorf("dsms: send: %w", err))
 				}
 			}
 			r.cond.Broadcast()
@@ -700,15 +708,45 @@ func (r *RemoteAgent) readLoop(rd *wire.Reader) {
 func (r *RemoteAgent) fail(err error) {
 	r.mu.Lock()
 	if r.err == nil && !r.closing {
-		r.err = err
+		r.setErr(err)
 	}
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }
 
+// setErr records the sticky error (nil clears it). Caller holds mu.
+func (r *RemoteAgent) setErr(err error) {
+	r.err = err
+	r.broken.Store(err != nil)
+}
+
+// retain appends u to pending with its Values copied into a slice from
+// the free list: the caller's Values is the source node's buffer,
+// which the next reading overwrites. Caller holds mu.
+func (r *RemoteAgent) retain(u core.Update) {
+	var vals []float64
+	if n := len(r.free); n > 0 {
+		vals = r.free[n-1][:0]
+		r.free = r.free[:n-1]
+	}
+	u.Values = append(vals, u.Values...)
+	r.pending = append(r.pending, u)
+}
+
+// release drops the n oldest pending updates, returning their Values
+// slices to the free list. Caller holds mu.
+func (r *RemoteAgent) release(n int) {
+	for i := range r.pending[:n] {
+		r.free = append(r.free, r.pending[i].Values)
+	}
+	r.pending = r.pending[:copy(r.pending, r.pending[n:])]
+}
+
 // sendUpdate implements core.Transport: buffer the frame, enforce the
 // window, and flush only when no ack is in flight to trigger the flush
-// from readLoop (pipelined sends coalesce into bursts).
+// from readLoop (pipelined sends coalesce into bursts). u.Values is
+// borrowed for the call (see core.Transport), so the copy kept for
+// Reconnect is taken by retain.
 func (r *RemoteAgent) sendUpdate(u core.Update) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -717,7 +755,7 @@ func (r *RemoteAgent) sendUpdate(u core.Update) error {
 		// the acks we are waiting for can never be generated.
 		if r.w.Buffered() > 0 {
 			if err := r.w.Flush(); err != nil {
-				r.err = fmt.Errorf("dsms: send: %w", err)
+				r.setErr(fmt.Errorf("dsms: send: %w", err))
 				break
 			}
 		}
@@ -732,7 +770,7 @@ func (r *RemoteAgent) sendUpdate(u core.Update) error {
 		// transmitting). Dropping it would silently desynchronize KFs
 		// from KFm, so retain it for Reconnect to resend; the caller
 		// sees the sticky error and decides when to redial.
-		r.pending = append(r.pending, u)
+		r.retain(u)
 		return r.err
 	}
 	if r.wireTrace {
@@ -752,15 +790,15 @@ func (r *RemoteAgent) sendUpdate(u core.Update) error {
 				terr = r.w.Trace(&d)
 			}
 			if terr != nil {
-				r.err = fmt.Errorf("dsms: send: %w", terr)
-				r.pending = append(r.pending, u)
+				r.setErr(fmt.Errorf("dsms: send: %w", terr))
+				r.retain(u)
 				return r.err
 			}
 		}
 	}
 	if err := r.w.Update(&u); err != nil {
-		r.err = fmt.Errorf("dsms: send: %w", err)
-		r.pending = append(r.pending, u)
+		r.setErr(fmt.Errorf("dsms: send: %w", err))
+		r.retain(u)
 		return r.err
 	}
 	if r.tracer != nil {
@@ -768,7 +806,7 @@ func (r *RemoteAgent) sendUpdate(u core.Update) error {
 		r.tracer.Record(&trace.Event{TraceID: d.TraceID, Seq: int64(u.Seq), Kind: trace.KindWireTx, Aux: int64(u.WireBytes())})
 	}
 	r.outstanding = append(r.outstanding, int64(u.Seq))
-	r.pending = append(r.pending, u)
+	r.retain(u)
 	if r.ins != nil {
 		r.sendTimes = append(r.sendTimes, nowNanos())
 		r.ins.setWindow(len(r.outstanding))
@@ -779,7 +817,7 @@ func (r *RemoteAgent) sendUpdate(u core.Update) error {
 		// flushes on their arrival instead, coalescing this frame with
 		// its successors.
 		if err := r.w.Flush(); err != nil {
-			r.err = fmt.Errorf("dsms: send: %w", err)
+			r.setErr(fmt.Errorf("dsms: send: %w", err))
 			return r.err
 		}
 	}
@@ -797,10 +835,13 @@ func (r *RemoteAgent) Err() error {
 // Offer processes one reading through the DKF source node, transmitting
 // if required. It returns whether an update was shipped. An error
 // reported asynchronously for an earlier pipelined update fails the
-// next Offer.
+// next Offer. The check is one atomic load while the pipeline is
+// healthy; only a broken agent takes the lock to read the error.
 func (r *RemoteAgent) Offer(reading stream.Reading) (bool, error) {
-	if err := r.Err(); err != nil {
-		return false, err
+	if r.broken.Load() {
+		if err := r.Err(); err != nil {
+			return false, err
+		}
 	}
 	return r.agent.Offer(reading)
 }
@@ -826,7 +867,7 @@ func (r *RemoteAgent) Drain() error {
 	defer r.mu.Unlock()
 	if r.err == nil && r.w.Buffered() > 0 {
 		if err := r.w.Flush(); err != nil {
-			r.err = fmt.Errorf("dsms: send: %w", err)
+			r.setErr(fmt.Errorf("dsms: send: %w", err))
 		}
 	}
 	for r.err == nil && !r.closing && len(r.outstanding) > 0 {
@@ -904,10 +945,10 @@ func (r *RemoteAgent) Reconnect() error {
 	for n < len(r.pending) && int64(r.pending[n].Seq) <= inst.ResumeSeq {
 		n++
 	}
-	r.pending = r.pending[:copy(r.pending, r.pending[n:])]
+	r.release(n)
 	r.conn = conn
 	r.w = w
-	r.err = nil
+	r.setErr(nil)
 	// The replacement server may or may not speak trace frames;
 	// renegotiate rather than assume (resent updates below carry no
 	// fresh decisions, so they are untraced either way).
@@ -922,7 +963,7 @@ func (r *RemoteAgent) Reconnect() error {
 	for i := range r.pending {
 		u := &r.pending[i]
 		if err := r.w.Update(u); err != nil {
-			r.err = fmt.Errorf("dsms: send: %w", err)
+			r.setErr(fmt.Errorf("dsms: send: %w", err))
 			break
 		}
 		r.outstanding = append(r.outstanding, int64(u.Seq))
@@ -932,7 +973,7 @@ func (r *RemoteAgent) Reconnect() error {
 	}
 	if r.err == nil && r.w.Buffered() > 0 {
 		if err := r.w.Flush(); err != nil {
-			r.err = fmt.Errorf("dsms: send: %w", err)
+			r.setErr(fmt.Errorf("dsms: send: %w", err))
 		}
 	}
 	r.ins.setWindow(len(r.outstanding))

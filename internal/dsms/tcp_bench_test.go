@@ -12,8 +12,13 @@ import (
 // benchReading builds a reading whose value jumps by 1 each step, so a
 // "constant" model with a tiny δ transmits every reading — the benchmark
 // measures pure wire cost per update, not suppression.
-func benchReading(seq int, base float64) stream.Reading {
-	return stream.Reading{Seq: seq, Time: float64(seq), Values: []float64{base + float64(seq)}}
+//
+// The value goes into vals, the caller's one reused Values slice: the
+// agent copies what it sends, so the harness allocates nothing per
+// reading and allocs/op counts the system under test alone.
+func benchReading(vals []float64, seq int, base float64) stream.Reading {
+	vals[0] = base + float64(seq)
+	return stream.Reading{Seq: seq, Time: float64(seq), Values: vals}
 }
 
 // benchTCPIngestSingle is the single-agent loopback ingest benchmark
@@ -39,10 +44,11 @@ func benchTCPIngestSingle(b *testing.B) {
 	}
 	defer agent.Close()
 
+	vals := make([]float64, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sent, err := agent.Offer(benchReading(i, 0))
+		sent, err := agent.Offer(benchReading(vals, i, 0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,10 +88,11 @@ func benchTCPIngestTraced(b *testing.B) {
 		b.Fatal("trace feature not negotiated")
 	}
 
+	vals := make([]float64, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sent, err := agent.Offer(benchReading(i, 0))
+		sent, err := agent.Offer(benchReading(vals, i, 0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,8 +149,9 @@ func BenchmarkTCPIngest(b *testing.B) {
 				go func(w int) {
 					defer wg.Done()
 					a := agents[w]
+					vals := make([]float64, 1)
 					for i := 0; i < per; i++ {
-						if _, err := a.Offer(benchReading(i, float64(w)*1e6)); err != nil {
+						if _, err := a.Offer(benchReading(vals, i, float64(w)*1e6)); err != nil {
 							errs <- err
 							return
 						}

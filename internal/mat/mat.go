@@ -181,7 +181,9 @@ func (m *Matrix) VecSlice() []float64 {
 // fixed-size kernels that run on matrices of a known shape without the
 // per-call dimension checks of the Into kernels (internal/kalman's n ≤ 2
 // filters). Such a kernel must check the shape itself and must not keep
-// the slice past the call, since Reshape may replace it.
+// the slice past the call, since Reshape may replace it. The one other
+// use is a vector the caller owns and never reshapes, lent out as a
+// slice: core.SourceNode returns its H x buffer as the estimate.
 func (m *Matrix) Raw() []float64 { return m.data }
 
 // Add returns a + b.
