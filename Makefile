@@ -26,11 +26,11 @@ bench-net:
 # Shard-engine datagram ingest: the rx->apply hot path, the aggregate
 # fan-in comparison against the per-connection TCP model, and the
 # one-update-per-datagram udpgram shape whose receive syscalls the
-# reader lanes batch with recvmmsg (udpgram-unbatched pins every batch
-# knob to 1 = the pre-lane layout; see BENCH_INGEST.json for recorded
-# before/after numbers). The 100k-source scale run is
+# UDP reader batches with recvmmsg (udpgram-unbatched pins every batch
+# knob to 1 = the pre-batching layout; see BENCH_INGEST.json for
+# recorded before/after numbers). The 100k-source scale run is
 # `go run ./cmd/dkf-bench -fanin -sources 100000 -n 20`, which also
-# takes -lanes/-rxbatch/-sendbatch/-dgram to reproduce these shapes.
+# takes -rxbatch/-sendbatch/-dgram to reproduce these shapes.
 bench-ingest:
 	$(GO) test -run '^$$' -bench 'BenchmarkUDPIngest' -benchmem -count 3 ./internal/dsms/
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestFanIn' -benchmem -benchtime 100000x -count 3 ./internal/dsms/

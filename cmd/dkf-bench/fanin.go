@@ -27,7 +27,6 @@ type fanInConfig struct {
 	n         int // updates per source, including the bootstrap
 	shards    int
 	ring      int
-	lanes     int  // reader lanes on the socket (0 = default)
 	rxBatch   int  // datagrams per receive syscall (0 = default)
 	sendBatch int  // sealed datagrams per send syscall (0 = default)
 	dgram     bool // one update per datagram (per-source wire shape)
@@ -58,7 +57,6 @@ func runFanIn(cfg fanInConfig) error {
 		}
 	}
 	us, err := dsms.NewUDPServer(s, "127.0.0.1:0", dsms.UDPServerOptions{
-		Lanes:   cfg.lanes,
 		RxBatch: cfg.rxBatch,
 		Engine:  dsms.EngineOptions{Shards: cfg.shards, RingSize: cfg.ring},
 	})
@@ -86,8 +84,8 @@ func runFanIn(cfg fanInConfig) error {
 	defer batcher.Close()
 
 	total := cfg.sources * cfg.n
-	fmt.Printf("fan-in: %d sources x %d updates = %d total, %d shard(s), %d lane(s), dgram=%v\n",
-		cfg.sources, cfg.n, total, eng.Shards(), us.Lanes(), cfg.dgram)
+	fmt.Printf("fan-in: %d sources x %d updates = %d total, %d shard(s), dgram=%v\n",
+		cfg.sources, cfg.n, total, eng.Shards(), cfg.dgram)
 
 	// Datagrams are fire-and-forget, so the producer must flow-control
 	// itself: bound in-flight updates against the engine's APPLIED count.

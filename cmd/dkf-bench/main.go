@@ -39,7 +39,6 @@ func main() {
 		fanin      = flag.Bool("fanin", false, "drive -sources simulated sources over the datagram transport against an in-process server and report throughput + per-source memory")
 		shards     = flag.Int("shards", 0, "ingest engine shard count; 0 = GOMAXPROCS (-fanin mode)")
 		ring       = flag.Int("ring", 8192, "per-shard SPSC ring capacity (-fanin mode)")
-		lanes      = flag.Int("lanes", 0, "UDP reader lanes sharing the socket; 0 = min(4, GOMAXPROCS) (-fanin mode)")
 		rxBatch    = flag.Int("rxbatch", 0, "max datagrams per receive syscall (recvmmsg); 0 = 32 (-fanin mode)")
 		sendBatch  = flag.Int("sendbatch", 0, "sealed datagrams per send syscall (sendmmsg); 0 = 16, 1 = write per datagram (-fanin mode)")
 		dgram      = flag.Bool("dgram", false, "one update per datagram instead of MTU-packed datagrams — the per-source-agent wire shape (-fanin mode)")
@@ -48,7 +47,7 @@ func main() {
 
 	if *fanin {
 		cfg := fanInConfig{sources: *sources, n: *n, shards: *shards, ring: *ring,
-			lanes: *lanes, rxBatch: *rxBatch, sendBatch: *sendBatch, dgram: *dgram}
+			rxBatch: *rxBatch, sendBatch: *sendBatch, dgram: *dgram}
 		if err := runFanIn(cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "dkf-bench: %v\n", err)
 			os.Exit(1)

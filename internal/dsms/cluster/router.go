@@ -729,7 +729,7 @@ func (r *Router) handleDown(conn net.Conn) {
 			boundRoutes = append(boundRoutes, rt)
 			r.tel.helloTotal.Inc()
 			if err := dc.write(func(w *wire.Writer) error {
-				return w.Install(inst.SourceID, inst.Model, inst.Delta, inst.F, inst.ResumeSeq)
+				return w.Install(inst)
 			}); err != nil {
 				return
 			}

@@ -196,13 +196,6 @@ type Server struct {
 	engIns    *engineInstruments
 	shardLogs []shardLog
 
-	// laneMu guards the UDP reader-lane instrument table, indexed by
-	// lane id. Lanes are registered once per id (a second UDP server on
-	// the same server shares the instruments, as the registry would
-	// dedupe them anyway). See telemetry.go and udp.go.
-	laneMu  sync.Mutex
-	laneIns []*laneInstruments
-
 	// traceOpts, guarded by mu, is non-nil while per-stream tracing is
 	// on; new and existing sources get a flight recorder built from it.
 	traceOpts *trace.Options
@@ -339,6 +332,26 @@ func (s *Server) Register(q stream.Query) error {
 	st.cfg = cfg
 	s.byQuery[q.ID] = st
 	return nil
+}
+
+// InstallReply is the handshake's answer to a source's hello, the same
+// on every transport: the InstallFor configuration plus ResumeSeq,
+// which tells a reconnecting source with live mirror state how far this
+// server's (possibly crash-recovered) filter has advanced — resend
+// unacked updates past it, no re-bootstrap. A fresh source ignores it
+// and bootstraps.
+func (s *Server) InstallReply(sourceID string) (wire.Install, error) {
+	cfg, err := s.InstallFor(sourceID)
+	if err != nil {
+		return wire.Install{}, err
+	}
+	return wire.Install{
+		SourceID:  cfg.SourceID,
+		Model:     cfg.Model.Name,
+		Delta:     cfg.Delta,
+		F:         cfg.F,
+		ResumeSeq: s.ResumeSeq(sourceID),
+	}, nil
 }
 
 // InstallFor returns the filter configuration a connecting source agent

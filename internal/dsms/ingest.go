@@ -31,7 +31,7 @@ type shardLog struct {
 }
 
 // StartEngine attaches a shard-per-core ingest engine to the server and
-// returns it. Callers register producer lanes on the returned engine
+// returns it. Callers register producers on the returned engine
 // (the UDP server does this per socket reader) and shut it down with
 // its Close. At most one engine per server; later calls return the
 // existing engine. opts.Shards <= 0 uses the same GOMAXPROCS default as
@@ -256,17 +256,8 @@ type ShardStreamz struct {
 	RingDepthHWM int64 `json:"ring_depth_hwm"`
 }
 
-// LaneStreamz is one UDP reader lane's occupancy block in /streamz.
-type LaneStreamz struct {
-	Lane        int     `json:"lane"`
-	DatagramsRx int64   `json:"datagrams_rx"`
-	Batches     int64   `json:"batches"`
-	AvgBatch    float64 `json:"avg_batch"`
-}
-
 // EngineStreamz is the ingest engine's status document: per-shard
-// occupancy plus the datagram transport's rx/drop taxonomy and, when a
-// UDP server feeds the engine, its reader lanes.
+// occupancy plus the datagram transport's rx/drop taxonomy.
 type EngineStreamz struct {
 	Shards          int   `json:"shards"`
 	DatagramsRx     int64 `json:"datagrams_rx"`
@@ -283,7 +274,6 @@ type EngineStreamz struct {
 	// enabled (the history ring supplies the time dimension).
 	ShedRatePerSec *float64       `json:"shed_rate_per_sec,omitempty"`
 	PerShard       []ShardStreamz `json:"per_shard"`
-	Lanes          []LaneStreamz  `json:"lanes,omitempty"`
 }
 
 // engineStreamz assembles the engine block, or nil without an engine.
@@ -319,26 +309,5 @@ func (s *Server) engineStreamz() *EngineStreamz {
 			RingDepthHWM: int64(sh.RingDepthHWM),
 		}
 	}
-	z.Lanes = s.laneStreamz()
 	return z
-}
-
-// laneStreamz snapshots the UDP reader-lane instruments; empty without
-// a UDP server.
-func (s *Server) laneStreamz() []LaneStreamz {
-	s.laneMu.Lock()
-	defer s.laneMu.Unlock()
-	out := make([]LaneStreamz, 0, len(s.laneIns))
-	for i, li := range s.laneIns {
-		if li == nil {
-			continue
-		}
-		snap := li.batch.Snapshot()
-		ls := LaneStreamz{Lane: i, DatagramsRx: li.rx.Value(), Batches: snap.Count}
-		if snap.Count > 0 {
-			ls.AvgBatch = float64(snap.Sum) / float64(snap.Count)
-		}
-		out = append(out, ls)
-	}
-	return out
 }

@@ -230,16 +230,16 @@ func setupFanInUDP(b *testing.B, s *Server, ids []string) (func(int, *core.Updat
 // setupFanInUDPGram is the one-update-per-datagram wire shape — what a
 // fleet of per-source UDPAgents produces, where the server-side receive
 // syscall cannot be amortized by sender-side packing. batched=false
-// pins every batch knob to 1 (single reader, one datagram per receive
-// syscall, one write per datagram: the pre-lane transport layout, kept
-// runnable so the BENCH_INGEST.json before/after stays reproducible);
+// pins every batch knob to 1 (one datagram per receive syscall, one
+// write per datagram: the pre-batching transport layout, kept runnable
+// so the BENCH_INGEST.json before/after stays reproducible);
 // batched=true uses the recvmmsg/sendmmsg defaults.
 func setupFanInUDPGram(batched bool) func(b *testing.B, s *Server, ids []string) (func(int, *core.Update) error, func(int), func(int)) {
 	return func(b *testing.B, s *Server, ids []string) (func(int, *core.Update) error, func(int), func(int)) {
 		sopts := UDPServerOptions{Engine: EngineOptions{RingSize: 32768}}
 		bopts := UDPBatcherOptions{FlushBytes: 1}
 		if !batched {
-			sopts.Lanes, sopts.RxBatch = 1, 1
+			sopts.RxBatch = 1
 			bopts.SendBatch = 1
 		}
 		return setupFanInUDPOpts(b, s, sopts, bopts)
@@ -339,9 +339,9 @@ func BenchmarkIngestFanIn(b *testing.B) {
 		})
 	}
 	// The per-source-agent wire shape, where sender-side packing cannot
-	// amortize the server's receive syscalls — the case the reader lanes'
+	// amortize the server's receive syscalls — the case the reader's
 	// recvmmsg batching exists for. udpgram-unbatched reproduces the
-	// pre-lane single-reader syscall pattern as the "before" side.
+	// pre-batching one-datagram-per-syscall pattern as the "before" side.
 	for _, sources := range []int{256, 4096} {
 		b.Run(fmt.Sprintf("udpgram/%d", sources), func(b *testing.B) {
 			benchIngestFanIn(b, sources, setupFanInUDPGram(true))

@@ -755,7 +755,7 @@ func TestRemoteAgentResendOwnsValues(t *testing.T) {
 			return
 		}
 		w.WritePreamble(wire.Version)
-		w.Install(q.SourceID, q.Model, q.Delta, 0, int64(data[window-1].Seq))
+		w.Install(wire.Install{SourceID: q.SourceID, Model: q.Model, Delta: q.Delta, ResumeSeq: int64(data[window-1].Seq)})
 		w.Flush()
 		stalled <- conn
 		io.Copy(io.Discard, conn)

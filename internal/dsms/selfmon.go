@@ -503,7 +503,7 @@ func (m *SelfMonitor) Signals() []SelfSignalView {
 
 // DefaultSelfSignals is the stock signal catalog: the server health
 // dimensions called out in DESIGN.md §15. Signals whose backing metric
-// is absent on a given server (no engine, no WAL, no UDP lanes) simply
+// is absent on a given server (no engine, no WAL, no UDP server) simply
 // never feed — Read returns ok=false and the filter stays cold.
 func DefaultSelfSignals() []SelfSignal {
 	rate := func(metric string) func(m *SelfMonitor) (float64, bool) {
@@ -544,8 +544,8 @@ func DefaultSelfSignals() []SelfSignal {
 			}},
 		{Name: "ack_rtt_p99_ms", Help: "Agent ack round-trip p99 over the rate window, milliseconds.",
 			Model: "constant", Delta: 50, Read: p99ms("dkf_agent_ack_rtt_ns")},
-		{Name: "lane_rx_rate", Help: "UDP datagrams received per second across reader lanes.",
-			Model: "linear", Delta: 1000, Read: rate("dkf_udp_lane_datagrams_rx_total")},
+		{Name: "udp_rx_rate", Help: "UDP datagrams received per second.",
+			Model: "linear", Delta: 1000, Read: rate("dkf_udp_datagrams_rx_total")},
 		{Name: "conns_active", Help: "Open TCP wire connections.",
 			Model: "linear", Delta: 64, Read: func(m *SelfMonitor) (float64, bool) {
 				return m.ring.Latest("dkf_wire_connections_active")

@@ -245,10 +245,13 @@ func TestSelfMonOverloadE2E(t *testing.T) {
 
 	// Stall the only shard worker, then slam the ring: TryOffer sheds
 	// once the 8 slots fill, driving dkf_engine_ring_dropped_total.
-	release := make(chan struct{})
-	if !e.RunOnShard(0, func() { <-release }) {
+	// The burst starts only once the worker runs the stall: a worker
+	// that has not picked the task up yet would drain the ring instead.
+	release, stalled := make(chan struct{}), make(chan struct{})
+	if !e.RunOnShard(0, func() { close(stalled); <-release }) {
 		t.Fatal("RunOnShard refused on a live engine")
 	}
+	<-stalled
 	p := e.Producer()
 	u := &core.Update{SourceID: "burst", Seq: 1, Time: 1, Values: []float64{1}, Bootstrap: true}
 	for i := 0; i < 200; i++ {

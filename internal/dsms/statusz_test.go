@@ -131,10 +131,13 @@ func TestHealthzOverloadHTTP(t *testing.T) {
 		t.Fatalf("pre-overload /healthz = %d %q", resp.StatusCode, body)
 	}
 
-	release := make(chan struct{})
-	if !e.RunOnShard(0, func() { <-release }) {
+	// The burst starts only once the worker runs the stall: a worker
+	// that has not picked the task up yet would drain the ring instead.
+	release, stalled := make(chan struct{}), make(chan struct{})
+	if !e.RunOnShard(0, func() { close(stalled); <-release }) {
 		t.Fatal("RunOnShard refused on a live engine")
 	}
+	<-stalled
 	p := e.Producer()
 	u := &core.Update{SourceID: "burst", Seq: 1, Time: 1, Values: []float64{1}, Bootstrap: true}
 	for i := 0; i < 200; i++ {

@@ -156,14 +156,21 @@ func (t *TCPServer) handle(conn net.Conn) {
 	r.OnFrame = tel.rx
 	w.OnFrame = tel.tx
 
+	// fail counts a wire-level failure and explains it to the peer, on
+	// the off chance it can parse an error frame; the caller then ends
+	// the connection.
+	fail := func(err error) {
+		tel.countWireError(err)
+		w.Error(fmt.Sprintf("dsms: %v", err))
+		w.Flush()
+	}
+
 	// Preamble exchange: validate the client's, answer with ours. A
 	// peer that is not speaking the protocol at all gets an error frame
 	// on the off chance it can parse one, then the close.
 	ver, err := r.ReadPreamble()
 	if err != nil {
-		tel.countWireError(err)
-		w.Error(err.Error())
-		w.Flush()
+		fail(err)
 		return
 	}
 	// Advertise trace-frame acceptance only while tracing is on, so
@@ -182,9 +189,7 @@ func (t *TCPServer) handle(conn net.Conn) {
 		return
 	}
 	if err := wire.CheckVersion(ver); err != nil {
-		tel.countWireError(err)
-		w.Error(fmt.Sprintf("dsms: %v", err))
-		w.Flush()
+		fail(err)
 		return
 	}
 	if w.Flush() != nil {
@@ -226,17 +231,24 @@ func (t *TCPServer) handle(conn net.Conn) {
 		fwdOrder = fwdOrder[:0]
 		return w.Flush() == nil
 	}
+	// reply completes a response frame written by the caller; false
+	// means the write or flush failed and the connection is done.
+	reply := func(err error) bool { return err == nil && flushAck() }
+	// reject answers a request that failed with an error frame and keeps
+	// the connection: a source learns of it on its next Offer and
+	// decides when to hang up. False means the connection is done.
+	reject := func(msg string) bool { return reply(w.Error(msg)) }
 
 	for {
 		tag, p, err := r.Next()
 		if err != nil {
-			tel.countWireError(err)
 			// Tell a well-behaved client why an oversized or malformed
 			// frame killed the connection; a vanished peer gets nothing.
 			var fse *wire.FrameSizeError
 			if errors.As(err, &fse) || errors.Is(err, wire.ErrMalformed) {
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
+				fail(err)
+			} else {
+				tel.countWireError(err)
 			}
 			return
 		}
@@ -244,49 +256,83 @@ func (t *TCPServer) handle(conn net.Conn) {
 		case wire.TagHello:
 			id, err := wire.DecodeHello(p)
 			if err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
+				fail(err)
 				return
 			}
-			cfg, err := t.server.InstallFor(id)
+			inst, err := t.server.InstallReply(id)
 			if err != nil {
-				if w.Error(err.Error()) != nil || !flushAck() {
+				if !reject(err.Error()) {
 					return
 				}
 				continue
 			}
-			// ResumeSeq tells a reconnecting source with live mirror
-			// state how far this server's (possibly crash-recovered)
-			// filter has advanced: resend unacked updates past it, no
-			// re-bootstrap. A fresh source ignores it and bootstraps.
-			if w.Install(cfg.SourceID, cfg.Model.Name, cfg.Delta, cfg.F, t.server.ResumeSeq(id)) != nil || !flushAck() {
+			if !reply(w.Install(inst)) {
 				return
 			}
-		case wire.TagUpdate:
-			if err := r.DecodeUpdate(p, &u); err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
+		case wire.TagUpdate, wire.TagForward:
+			// A source's own update, or a router-forwarded one whose
+			// envelope carries the route index the ack must name (the
+			// downstream seq alone is ambiguous across sources sharing
+			// the upstream connection) and the topology epoch the router
+			// routed under.
+			fwd := tag == wire.TagForward
+			body := p
+			var env wire.ForwardEnvelope
+			if fwd {
+				if env, err = wire.DecodeForward(p); err != nil {
+					fail(err)
+					return
+				}
+				t.server.ObserveEpoch(env.Epoch)
+				body = env.Payload
+			}
+			if err := r.DecodeUpdate(body, &u); err != nil {
+				fail(err)
 				return
+			}
+			if fwd {
+				if _, rel := t.server.SourceReleased(u.SourceID); rel {
+					// A stale owner: this stream migrated away. Rejecting —
+					// never folding — keeps exactly one shard authoritative.
+					if !reject(fmt.Sprintf("dsms: source %s released from this shard", u.SourceID)) {
+						return
+					}
+					continue
+				}
 			}
 			var wd *trace.DecisionInfo
+			wdHop := false
 			if havePend {
-				havePend, haveHop = false, false
+				havePend = false
 				if pend.Seq == int64(u.Seq) {
 					wd = &pend
+					wdHop = haveHop
 				}
+				haveHop = false
+			}
+			if fwd && wd != nil && wdHop {
+				// Splice the router's hop into this stream's trail before
+				// the apply/wal events so the ring preserves causal order.
+				t.server.RecordForwardHop(u.SourceID, wd.TraceID, wd.Seq, pendHop)
 			}
 			if err := t.server.HandleUpdateTraced(u, wd, len(p)+5); err != nil {
-				// Delivered asynchronously: the client fails its next
-				// Offer. Keep reading — the client decides when to hang up.
-				if w.Error(err.Error()) != nil || !flushAck() {
+				if !reject(err.Error()) {
 					return
 				}
 				continue
 			}
-			ackSeq = int64(u.Seq)
-			pendingAck = true
+			if fwd {
+				if _, ok := fwdAcks[env.Idx]; !ok {
+					if fwdAcks == nil {
+						fwdAcks = make(map[uint32]int64)
+					}
+					fwdOrder = append(fwdOrder, env.Idx)
+				}
+				fwdAcks[env.Idx] = int64(u.Seq)
+			} else {
+				ackSeq = int64(u.Seq)
+				pendingAck = true
+			}
 			// Coalesce acks: only flush when no further frames are
 			// already buffered, so a burst of updates costs one ack
 			// write-out instead of one per update.
@@ -296,9 +342,7 @@ func (t *TCPServer) handle(conn net.Conn) {
 		case wire.TagTrace:
 			d, hop, hasHop, err := wire.DecodeTraceExt(p)
 			if err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
+				fail(err)
 				return
 			}
 			// Not acked: the evidence travels with (and is confirmed by
@@ -308,9 +352,7 @@ func (t *TCPServer) handle(conn net.Conn) {
 		case wire.TagQuery:
 			qid, seq, err := r.DecodeQuery(p)
 			if err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
+				fail(err)
 				return
 			}
 			vals, err := t.server.Answer(qid, int(seq))
@@ -325,78 +367,18 @@ func (t *TCPServer) handle(conn net.Conn) {
 				}
 			}
 			if err != nil {
-				if w.Error(err.Error()) != nil || !flushAck() {
+				if !reject(err.Error()) {
 					return
 				}
 				continue
 			}
-			if w.Answer(qid, vals) != nil || !flushAck() {
-				return
-			}
-		case wire.TagForward:
-			// A router-forwarded update: the envelope carries the route
-			// index the ack must name (the downstream seq alone is
-			// ambiguous across sources sharing the upstream connection)
-			// and the topology epoch the router routed under.
-			env, err := wire.DecodeForward(p)
-			if err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
-				return
-			}
-			t.server.ObserveEpoch(env.Epoch)
-			if err := r.DecodeUpdate(env.Payload, &u); err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
-				return
-			}
-			if _, rel := t.server.SourceReleased(u.SourceID); rel {
-				// A stale owner: this stream migrated away. Rejecting —
-				// never folding — keeps exactly one shard authoritative.
-				if w.Error(fmt.Sprintf("dsms: source %s released from this shard", u.SourceID)) != nil || !flushAck() {
-					return
-				}
-				continue
-			}
-			var wd *trace.DecisionInfo
-			wdHop := false
-			if havePend {
-				havePend = false
-				if pend.Seq == int64(u.Seq) {
-					wd = &pend
-					wdHop = haveHop
-				}
-				haveHop = false
-			}
-			if wd != nil && wdHop {
-				// Splice the router's hop into this stream's trail before
-				// the apply/wal events so the ring preserves causal order.
-				t.server.RecordForwardHop(u.SourceID, wd.TraceID, wd.Seq, pendHop)
-			}
-			if err := t.server.HandleUpdateTraced(u, wd, len(p)+5); err != nil {
-				if w.Error(err.Error()) != nil || !flushAck() {
-					return
-				}
-				continue
-			}
-			if _, ok := fwdAcks[env.Idx]; !ok {
-				if fwdAcks == nil {
-					fwdAcks = make(map[uint32]int64)
-				}
-				fwdOrder = append(fwdOrder, env.Idx)
-			}
-			fwdAcks[env.Idx] = int64(u.Seq)
-			if r.Buffered() == 0 && !flushAck() {
+			if !reply(w.Answer(qid, vals)) {
 				return
 			}
 		case wire.TagClusterReg:
 			kind, q, agg, err := wire.DecodeClusterReg(p)
 			if err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
+				fail(err)
 				return
 			}
 			// Registration is idempotent-adopt: a router re-registering
@@ -421,53 +403,49 @@ func (t *TCPServer) handle(conn net.Conn) {
 				}
 			}
 			if regErr != nil {
-				if w.Error(regErr.Error()) != nil || !flushAck() {
+				if !reject(regErr.Error()) {
 					return
 				}
 				continue
 			}
-			if w.Registered(id) != nil || !flushAck() {
+			if !reply(w.Registered(id)) {
 				return
 			}
 		case wire.TagSnapshot:
 			srcID, epoch, err := wire.DecodeSnapshot(p)
 			if err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
+				fail(err)
 				return
 			}
 			payload, resumeSeq, err := t.server.SnapshotSource(srcID, epoch)
 			if err != nil {
-				if w.Error(err.Error()) != nil || !flushAck() {
+				if !reject(err.Error()) {
 					return
 				}
 				continue
 			}
-			if w.WriteStateAck(wire.StateAck{SourceID: srcID, ResumeSeq: resumeSeq, Epoch: epoch, Payload: payload}) != nil || !flushAck() {
+			if !reply(w.WriteStateAck(wire.StateAck{SourceID: srcID, ResumeSeq: resumeSeq, Epoch: epoch, Payload: payload})) {
 				return
 			}
 		case wire.TagRestore:
 			epoch, payload, err := wire.DecodeRestore(p)
 			if err != nil {
-				tel.countWireError(err)
-				w.Error(fmt.Sprintf("dsms: %v", err))
-				w.Flush()
+				fail(err)
 				return
 			}
 			srcID, resumeSeq, err := t.server.RestoreSource(payload, epoch)
 			if err != nil {
-				if w.Error(err.Error()) != nil || !flushAck() {
+				if !reject(err.Error()) {
 					return
 				}
 				continue
 			}
-			if w.WriteStateAck(wire.StateAck{SourceID: srcID, ResumeSeq: resumeSeq, Epoch: epoch}) != nil || !flushAck() {
+			if !reply(w.WriteStateAck(wire.StateAck{SourceID: srcID, ResumeSeq: resumeSeq, Epoch: epoch})) {
 				return
 			}
 		default:
 			tel.errUnknownTag.Inc()
-			if w.Error(fmt.Sprintf("dsms: unknown message tag 0x%02x", byte(tag))) != nil || !flushAck() {
+			if !reject(fmt.Sprintf("dsms: unknown message tag 0x%02x", byte(tag))) {
 				return
 			}
 		}

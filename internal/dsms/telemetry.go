@@ -245,6 +245,7 @@ type engineInstruments struct {
 	shardDedup   []*telemetry.Counter
 
 	datagramsRx  *telemetry.Counter
+	rxBatch      *telemetry.Histogram
 	datagramsBad *telemetry.Counter
 	framesRx     *telemetry.Counter
 	preBootstrap *telemetry.Counter
@@ -270,6 +271,7 @@ func newEngineInstruments(reg *telemetry.Registry, e *engine.Engine) *engineInst
 			func() float64 { return float64(e.Stats()[i].Dropped) }, sh)
 	}
 	ei.datagramsRx = reg.Counter("dkf_udp_datagrams_rx_total", "UDP datagrams received.")
+	ei.rxBatch = reg.Histogram("dkf_udp_rx_batch_size", "Datagrams drained per UDP receive syscall.")
 	ei.datagramsBad = reg.Counter("dkf_udp_datagrams_bad_total", "UDP datagrams rejected (bad preamble, malformed frame).")
 	ei.framesRx = reg.Counter("dkf_udp_frames_rx_total", "Frames decoded from UDP datagrams.")
 	ei.preBootstrap = reg.Counter("dkf_engine_pre_bootstrap_total", "Updates dropped because they arrived before their stream's bootstrap.")
@@ -277,33 +279,6 @@ func newEngineInstruments(reg *telemetry.Registry, e *engine.Engine) *engineInst
 	ei.rejected = reg.Counter("dkf_engine_rejected_total", "Updates the filter apply rejected (stale, malformed).")
 	ei.walErrors = reg.Counter("dkf_engine_wal_errors_total", "Shard batch WAL commits that failed.")
 	return ei
-}
-
-// laneInstruments is one UDP reader lane's instrument set: how many
-// datagrams the lane received and how many each receive syscall
-// drained. A healthy batched receiver shows avg batch > 1 under load;
-// pinned at 1 it is either idle, portable-fallback, or syscall-bound.
-type laneInstruments struct {
-	rx    *telemetry.Counter
-	batch *telemetry.Histogram
-}
-
-// laneInstruments returns (creating on first sight) the instruments for
-// one reader lane id.
-func (s *Server) laneInstruments(lane int) *laneInstruments {
-	s.laneMu.Lock()
-	defer s.laneMu.Unlock()
-	for len(s.laneIns) <= lane {
-		s.laneIns = append(s.laneIns, nil)
-	}
-	if s.laneIns[lane] == nil {
-		l := telemetry.L("lane", strconv.Itoa(lane))
-		s.laneIns[lane] = &laneInstruments{
-			rx:    s.tel.reg.Counter("dkf_udp_lane_datagrams_rx_total", "UDP datagrams received, by reader lane.", l),
-			batch: s.tel.reg.Histogram("dkf_udp_lane_batch_size", "Datagrams drained per receive syscall, by reader lane.", l),
-		}
-	}
-	return s.laneIns[lane]
 }
 
 // AgentInstruments is the source-agent instrument set: the offer/send

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"runtime"
 	"sync"
 	"time"
 
@@ -40,12 +39,6 @@ type UDPServerOptions struct {
 	// the socket buffer is the only queue between a burst and the
 	// engine's rings, so it is sized generously.
 	ReadBuffer int
-	// Lanes is how many reader goroutines share the socket. Each lane
-	// owns its own receive arena, decode state, and engine producer, so
-	// lanes never synchronize with each other — the kernel serializes
-	// the dequeue and lanes overlap the parse/route work. 0 selects
-	// min(4, GOMAXPROCS); 1 reproduces the single-reader layout.
-	Lanes int
 	// RxBatch caps how many datagrams one receive syscall may drain
 	// (recvmmsg on Linux). 0 selects 32. Platforms without a batched
 	// receive read one datagram per call regardless.
@@ -62,12 +55,6 @@ func (o UDPServerOptions) withDefaults() UDPServerOptions {
 	if o.ReadBuffer <= 0 {
 		o.ReadBuffer = 4 << 20
 	}
-	if o.Lanes <= 0 {
-		o.Lanes = runtime.GOMAXPROCS(0)
-		if o.Lanes > 4 {
-			o.Lanes = 4
-		}
-	}
 	if o.RxBatch <= 0 {
 		o.RxBatch = 32
 	}
@@ -80,34 +67,38 @@ func (o UDPServerOptions) withDefaults() UDPServerOptions {
 }
 
 // UDPServer accepts DKF datagrams on one socket and feeds the server's
-// shard ingest engine through N reader lanes. Each lane drains whole
-// batches per syscall where the platform allows (recvmmsg on Linux) and
-// owns every piece of mutable receive state — buffer arena, decode
-// scratch, intern map, engine producer — so the steady-state receive
-// path (read batch, parse, intern, hand to ring) allocates nothing and
-// takes no lane-to-lane lock.
+// shard ingest engine from one reader goroutine. The reader drains
+// whole batches per syscall where the platform allows (recvmmsg on
+// Linux) and owns every piece of mutable receive state — buffer arena,
+// decode scratch, intern map, engine producer — so the steady-state
+// receive path (read batch, parse, intern, hand to ring) allocates
+// nothing and takes no lock.
+//
+// One reader is what keeps each source's datagrams in order: the
+// socket queue is FIFO, the reader walks each batch in order, and its
+// single producer ring per shard hands them to the owning shard worker
+// in that order. Readers racing on a shared socket would split one
+// source's burst between them, and the shard would then discard the
+// earlier updates as stale or pre-bootstrap although the source's
+// mirror filter had already folded them.
 type UDPServer struct {
-	server *Server
-	eng    *engine.Engine
-	conn   *net.UDPConn
-	lanes  []*rxLane
+	server   *Server
+	eng      *engine.Engine
+	conn     *net.UDPConn
+	ins      *engineInstruments
+	maxDgram int
+	rd       udpReader
 
 	mu     sync.Mutex
 	closed bool
 }
 
-// rxLane is one reader goroutine's world. interned maps source-id bytes
-// to their one canonical string: a datagram socket multiplexes every
-// source, so the stream Reader's single-entry cache would thrash.
-type rxLane struct {
-	t        *UDPServer
-	id       int
-	rx       *laneRx
+// udpReader is the reader goroutine's state. interned maps source-id
+// bytes to their one canonical string: a datagram socket multiplexes
+// every source, so the stream Reader's single-entry cache would thrash.
+type udpReader struct {
+	rx       *batchRx
 	prod     *engine.Producer
-	ins      *engineInstruments
-	lane     *laneInstruments
-	maxDgram int
-
 	u        core.Update
 	interned map[string]string
 	internFn func([]byte) string
@@ -129,87 +120,48 @@ func NewUDPServer(server *Server, addr string, opts UDPServerOptions) (*UDPServe
 	}
 	// Best effort: some kernels clamp SO_RCVBUF below the request.
 	_ = conn.SetReadBuffer(opts.ReadBuffer)
-	eng := server.StartEngine(opts.Engine)
-	t := &UDPServer{server: server, eng: eng, conn: conn}
-	t.lanes = make([]*rxLane, opts.Lanes)
-	for i := range t.lanes {
-		rx, err := newLaneRx(conn, opts.RxBatch, opts.MaxDatagram)
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("dsms: udp lane %d: %w", i, err)
-		}
-		ln := &rxLane{
-			t:        t,
-			id:       i,
-			rx:       rx,
-			prod:     eng.Producer(),
-			ins:      server.engIns,
-			lane:     server.laneInstruments(i),
-			maxDgram: opts.MaxDatagram,
-			interned: make(map[string]string),
-		}
-		ln.internFn = ln.intern
-		t.lanes[i] = ln
+	rx, err := newBatchRx(conn, opts.RxBatch, opts.MaxDatagram)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("dsms: udp reader: %w", err)
 	}
+	eng := server.StartEngine(opts.Engine)
+	t := &UDPServer{
+		server:   server,
+		eng:      eng,
+		conn:     conn,
+		ins:      server.engIns,
+		maxDgram: opts.MaxDatagram,
+		rd:       udpReader{rx: rx, prod: eng.Producer(), interned: make(map[string]string)},
+	}
+	t.rd.internFn = t.rd.intern
 	return t, nil
 }
 
 // Addr returns the bound UDP address.
 func (t *UDPServer) Addr() net.Addr { return t.conn.LocalAddr() }
 
-// Lanes returns how many reader lanes Serve runs.
-func (t *UDPServer) Lanes() int { return len(t.lanes) }
-
-// Serve receives datagrams until Close, running lane 0 on the calling
-// goroutine and the rest on their own. It returns nil after Close and
-// the first socket error otherwise (any lane's failure closes the
-// socket, releasing the other lanes' blocked reads). The engine is
-// shared and stays running — shutting it down is its owner's call
-// (Server.Engine().Close()).
+// Serve receives datagrams on the calling goroutine until Close: drain
+// a batch, route each datagram. It returns nil after Close and the
+// socket error otherwise, closing the socket. The engine is shared and
+// stays running — shutting it down is its owner's call
+// (Server.Engine().Close()). Call Serve once.
 func (t *UDPServer) Serve() error {
-	errs := make([]error, len(t.lanes))
-	var wg sync.WaitGroup
-	for i := 1; i < len(t.lanes); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = t.serveLane(t.lanes[i])
-		}(i)
-	}
-	errs[0] = t.serveLane(t.lanes[0])
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *UDPServer) serveLane(ln *rxLane) error {
-	err := ln.serve()
-	if err != nil {
-		_ = t.Close()
-	}
-	return err
-}
-
-// serve is one lane's receive loop: drain a batch, route each datagram.
-func (ln *rxLane) serve() error {
 	for {
-		n, err := ln.rx.read()
+		n, err := t.rd.rx.read()
 		if err != nil {
-			ln.t.mu.Lock()
-			closed := ln.t.closed
-			ln.t.mu.Unlock()
+			t.mu.Lock()
+			closed := t.closed
+			t.mu.Unlock()
 			if closed {
 				return nil
 			}
+			_ = t.Close()
 			return fmt.Errorf("dsms: udp read: %w", err)
 		}
-		ln.lane.batch.Observe(int64(n))
+		t.ins.rxBatch.Observe(int64(n))
 		for i := 0; i < n; i++ {
-			ln.processDatagram(ln.rx.msg(i), ln.rx.addr(i))
+			t.processDatagram(t.rd.rx.msg(i), t.rd.rx.addr(i))
 		}
 	}
 }
@@ -228,90 +180,77 @@ func (t *UDPServer) Close() error {
 
 // intern returns the canonical string for a source-id byte slice. The
 // map lookup keyed by string(b) does not allocate; only the first
-// sighting of a source id (per lane) does.
-func (ln *rxLane) intern(b []byte) string {
-	if s, ok := ln.interned[string(b)]; ok {
+// sighting of a source id does.
+func (rd *udpReader) intern(b []byte) string {
+	if s, ok := rd.interned[string(b)]; ok {
 		return s
 	}
 	s := string(b)
-	ln.interned[s] = s
+	rd.interned[s] = s
 	return s
-}
-
-// processDatagram drives lane 0's parser directly — the entry point
-// tests and alloc gates use. Not safe concurrently with Serve.
-func (t *UDPServer) processDatagram(p []byte, addr netip.AddrPort) {
-	t.lanes[0].processDatagram(p, addr)
 }
 
 // processDatagram parses one datagram and routes its frames: updates go
 // to the owning shard's ring (TryOffer — under overload the ring sheds
 // rather than blocking the socket), hellos get an install reply when
 // addr is valid. Unknown tags are skipped for forward compatibility.
-func (ln *rxLane) processDatagram(p []byte, addr netip.AddrPort) {
-	ln.ins.datagramsRx.Inc()
-	ln.lane.rx.Inc()
+// Only the Serve goroutine may call it while Serve runs; tests and
+// alloc gates call it directly without Serve.
+func (t *UDPServer) processDatagram(p []byte, addr netip.AddrPort) {
+	t.ins.datagramsRx.Inc()
 	_, rest, err := wire.CheckPreamble(p)
 	if err != nil {
-		ln.ins.datagramsBad.Inc()
-		ln.t.server.tel.countWireError(err)
+		t.ins.datagramsBad.Inc()
+		t.server.tel.countWireError(err)
 		return
 	}
 	for len(rest) > 0 {
-		tag, payload, next, err := wire.NextFrame(rest, ln.maxDgram)
+		tag, payload, next, err := wire.NextFrame(rest, t.maxDgram)
 		if err != nil {
-			ln.ins.datagramsBad.Inc()
-			ln.t.server.tel.countWireError(err)
+			t.ins.datagramsBad.Inc()
+			t.server.tel.countWireError(err)
 			return
 		}
-		ln.ins.framesRx.Inc()
-		ln.t.server.tel.rx(tag, len(payload)+5)
+		t.ins.framesRx.Inc()
+		t.server.tel.rx(tag, len(payload)+5)
 		switch tag {
 		case wire.TagUpdate:
-			if err := wire.DecodeUpdateInto(payload, &ln.u, ln.internFn); err != nil {
-				ln.ins.datagramsBad.Inc()
-				ln.t.server.tel.countWireError(err)
+			if err := wire.DecodeUpdateInto(payload, &t.rd.u, t.rd.internFn); err != nil {
+				t.ins.datagramsBad.Inc()
+				t.server.tel.countWireError(err)
 				return
 			}
-			ln.prod.TryOffer(ln.t.eng.ShardFor(ln.u.SourceID), &ln.u)
+			t.rd.prod.TryOffer(t.eng.ShardFor(t.rd.u.SourceID), &t.rd.u)
 		case wire.TagHello:
-			ln.handleHello(payload, addr)
+			t.handleHello(payload, addr)
 		}
 		rest = next
 	}
 }
 
 // handleHello answers a handshake datagram with an install (or error)
-// datagram. Handshakes are rare, so this path may allocate. The reply
-// buffer is lane-owned; the socket write itself is thread-safe.
-func (ln *rxLane) handleHello(payload []byte, addr netip.AddrPort) {
+// datagram. Handshakes are rare, so this path may allocate.
+func (t *UDPServer) handleHello(payload []byte, addr netip.AddrPort) {
 	if !addr.IsValid() {
 		return
 	}
 	id, err := wire.DecodeHello(payload)
 	if err != nil {
-		ln.ins.datagramsBad.Inc()
+		t.ins.datagramsBad.Inc()
 		return
 	}
-	ln.reply = wire.AppendPreamble(ln.reply[:0], wire.Version, 0)
-	cfg, err := ln.t.server.InstallFor(id)
+	reply := wire.AppendPreamble(t.rd.reply[:0], wire.Version, 0)
+	inst, err := t.server.InstallReply(id)
 	if err != nil {
-		if ln.reply, err = wire.AppendErrorFrame(ln.reply, err.Error()); err != nil {
-			return
-		}
+		reply, err = wire.AppendErrorFrame(reply, err.Error())
 	} else {
-		inst := wire.Install{
-			SourceID:  cfg.SourceID,
-			Model:     cfg.Model.Name,
-			Delta:     cfg.Delta,
-			F:         cfg.F,
-			ResumeSeq: ln.t.server.ResumeSeq(id),
-		}
-		if ln.reply, err = wire.AppendInstallFrame(ln.reply, inst); err != nil {
-			return
-		}
+		reply, err = wire.AppendInstallFrame(reply, inst)
 	}
-	_, _ = ln.t.conn.WriteToUDPAddrPort(ln.reply, addr)
+	t.rd.reply = reply
+	if err != nil {
+		return
+	}
+	_, _ = t.conn.WriteToUDPAddrPort(reply, addr)
 }
 
 // UDPDialOptions configures DialSourceUDP.

@@ -3,12 +3,12 @@
 // Batched datagram I/O on Linux: recvmmsg drains up to RxBatch
 // datagrams in one syscall and sendmmsg transmits a sealed batch in
 // one, both issued raw against the netpoller-registered fd through
-// syscall.RawConn — no new dependency, and a lane still parks in the
-// runtime poller on EAGAIN instead of spinning. Both callbacks are
+// syscall.RawConn — no new dependency, and the reader still parks in
+// the runtime poller on EAGAIN instead of spinning. Both callbacks are
 // stored method values bound once at construction: a closure built per
 // read would allocate per batch and break the rx path's 0 allocs/op
-// gate (TestUDPLaneRxAllocFree pins the parse half; the e2e lane tests
-// cover this half).
+// gate (TestUDPRxAllocFree pins the parse half; the end-to-end UDP
+// tests cover this half).
 //
 // The mmsghdr layout below matches the 64-bit layouts of linux/amd64
 // and linux/arm64 (8-byte-aligned msghdr, 4-byte msg_len plus implicit
@@ -35,11 +35,11 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
-// laneRx is one lane's batched receive state: a fixed arena of RxBatch
+// batchRx is the reader's batched receive state: a fixed arena of RxBatch
 // datagram buffers and the iovec/msghdr/sockaddr tables describing them
 // to recvmmsg. All tables are laid out once; a read only resets the
 // per-message name lengths the kernel overwrites.
-type laneRx struct {
+type batchRx struct {
 	rc    syscall.RawConn
 	bufs  [][]byte
 	iovs  []syscall.Iovec
@@ -51,12 +51,12 @@ type laneRx struct {
 	errno  syscall.Errno
 }
 
-func newLaneRx(conn *net.UDPConn, batch, maxDatagram int) (*laneRx, error) {
+func newBatchRx(conn *net.UDPConn, batch, maxDatagram int) (*batchRx, error) {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil, err
 	}
-	rx := &laneRx{
+	rx := &batchRx{
 		rc:    rc,
 		bufs:  make([][]byte, batch),
 		iovs:  make([]syscall.Iovec, batch),
@@ -81,7 +81,7 @@ func newLaneRx(conn *net.UDPConn, batch, maxDatagram int) (*laneRx, error) {
 // rawRead is the RawConn.Read callback: one non-blocking recvmmsg.
 // Returning false on EAGAIN parks the goroutine in the netpoller until
 // the socket is readable again.
-func (rx *laneRx) rawRead(fd uintptr) bool {
+func (rx *batchRx) rawRead(fd uintptr) bool {
 	n, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
 		uintptr(unsafe.Pointer(&rx.hdrs[0])), uintptr(len(rx.hdrs)),
 		uintptr(syscall.MSG_DONTWAIT), 0, 0)
@@ -94,7 +94,7 @@ func (rx *laneRx) rawRead(fd uintptr) bool {
 
 // read blocks until at least one datagram arrives and returns how many
 // the batch drained. msg(i)/addr(i) are valid until the next read.
-func (rx *laneRx) read() (int, error) {
+func (rx *batchRx) read() (int, error) {
 	for i := range rx.hdrs {
 		rx.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(rx.names[0]))
 	}
@@ -109,12 +109,12 @@ func (rx *laneRx) read() (int, error) {
 }
 
 // msg returns the i-th drained datagram's bytes.
-func (rx *laneRx) msg(i int) []byte { return rx.bufs[i][:rx.hdrs[i].len] }
+func (rx *batchRx) msg(i int) []byte { return rx.bufs[i][:rx.hdrs[i].len] }
 
 // addr decodes the i-th datagram's peer address without allocating.
 // Port bytes are read individually, so the conversion from network
 // byte order is endianness-agnostic.
-func (rx *laneRx) addr(i int) netip.AddrPort {
+func (rx *batchRx) addr(i int) netip.AddrPort {
 	name := &rx.names[i]
 	switch name.Addr.Family {
 	case syscall.AF_INET:

@@ -2,10 +2,9 @@
 
 // Portable datagram I/O fallback: one ReadFromUDPAddrPort per receive
 // (a batch of exactly 1) and one Write per sealed datagram. Platforms
-// with batched syscalls get udp_linux.go instead; the lane structure
-// above this layer is identical either way, so the multi-lane server
-// and the batcher behave the same everywhere — only the syscalls-per-
-// datagram ratio differs.
+// with batched syscalls get udp_linux.go instead; the reader above this
+// layer is identical either way, so the server and the batcher behave
+// the same everywhere — only the syscalls-per-datagram ratio differs.
 package dsms
 
 import (
@@ -17,20 +16,20 @@ import (
 // return one datagram and sends issue one syscall per datagram.
 const mmsgAvailable = false
 
-// laneRx is one lane's receive state: a single datagram buffer.
-type laneRx struct {
+// batchRx is the reader's receive state: a single datagram buffer.
+type batchRx struct {
 	conn *net.UDPConn
 	buf  []byte
 	n    int
 	from netip.AddrPort
 }
 
-func newLaneRx(conn *net.UDPConn, batch, maxDatagram int) (*laneRx, error) {
-	return &laneRx{conn: conn, buf: make([]byte, maxDatagram)}, nil
+func newBatchRx(conn *net.UDPConn, batch, maxDatagram int) (*batchRx, error) {
+	return &batchRx{conn: conn, buf: make([]byte, maxDatagram)}, nil
 }
 
 // read blocks for one datagram and reports a batch of 1.
-func (rx *laneRx) read() (int, error) {
+func (rx *batchRx) read() (int, error) {
 	n, addr, err := rx.conn.ReadFromUDPAddrPort(rx.buf)
 	if err != nil {
 		return 0, err
@@ -39,8 +38,8 @@ func (rx *laneRx) read() (int, error) {
 	return 1, nil
 }
 
-func (rx *laneRx) msg(i int) []byte          { return rx.buf[:rx.n] }
-func (rx *laneRx) addr(i int) netip.AddrPort { return rx.from }
+func (rx *batchRx) msg(i int) []byte          { return rx.buf[:rx.n] }
+func (rx *batchRx) addr(i int) netip.AddrPort { return rx.from }
 
 // batchTx degrades to a write per datagram.
 type batchTx struct{ conn *net.UDPConn }

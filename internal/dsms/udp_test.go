@@ -321,7 +321,12 @@ func TestUDPLossyLinkSemantics(t *testing.T) {
 }
 
 // TestUDPIngestLoopbackEndToEnd exercises the real sockets: retried
-// hello handshake, datagram agent, socket reader, engine apply.
+// hello handshake, datagram agent, socket reader, engine apply. On a
+// loss-free loopback every update the agent's mirror filter folded
+// must reach the server filter too: none may be discarded as
+// pre-bootstrap or stale, and dedup catches exactly the duplicated
+// bootstrap copies. A break of that accounting is a mirror-invariant
+// break, so the failure prints the engine's drop taxonomy.
 func TestUDPIngestLoopbackEndToEnd(t *testing.T) {
 	q := udpQuery()
 	s, ts := newUDPPair(t, q)
@@ -346,6 +351,10 @@ func TestUDPIngestLoopbackEndToEnd(t *testing.T) {
 		}
 	}
 	ast := agent.Stats()
+	taxonomy := func() string {
+		raw, _ := json.Marshal(s.Streamz().Engine)
+		return string(raw)
+	}
 
 	// Fire-and-forget transport: wait for the socket reader and engine
 	// to drain everything the agent transmitted.
@@ -356,14 +365,16 @@ func TestUDPIngestLoopbackEndToEnd(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("server stats %+v never reached agent's %d updates", sts, ast.Updates)
+			t.Fatalf("server stats %+v never reached agent's %d updates; engine: %s", sts, ast.Updates, taxonomy())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
 	// The bootstrap rides in triplicate; the extras land in dedup.
-	if n := engineDedupCount(s); n != 2 {
-		t.Fatalf("dedup counter = %d, want 2 (duplicated bootstrap copies)", n)
+	z := s.Streamz().Engine
+	if n := engineDedupCount(s); n != 2 || z.PreBootstrap != 0 || z.Rejected != 0 || z.DatagramsBad != 0 {
+		t.Fatalf("dedup %d (want 2 duplicated bootstrap copies), pre_bootstrap %d, rejected %d, bad %d (want 0); engine: %s",
+			n, z.PreBootstrap, z.Rejected, z.DatagramsBad, taxonomy())
 	}
 	ans, err := s.Answer(q.ID, data[len(data)-1].Seq)
 	if err != nil {
@@ -376,8 +387,11 @@ func TestUDPIngestLoopbackEndToEnd(t *testing.T) {
 }
 
 // TestUDPRxAllocFree gates the steady-state datagram receive path —
-// preamble check, frame walk, update decode, source-id intern, ring
-// handoff, shard dedup — at zero allocations per datagram.
+// the per-batch histogram observe, preamble check, frame walk, update
+// decode, source-id intern, ring handoff, shard dedup — at zero
+// allocations per datagram. This is the per-datagram work Serve repeats
+// between receive syscalls; the syscall half is covered by the
+// end-to-end UDP tests.
 func TestUDPRxAllocFree(t *testing.T) {
 	q := udpQuery()
 	_, ts := newUDPPair(t, q)
@@ -399,6 +413,7 @@ func TestUDPRxAllocFree(t *testing.T) {
 		ts.eng.Quiesce()
 	}
 	n := testing.AllocsPerRun(200, func() {
+		ts.ins.rxBatch.Observe(1)
 		ts.processDatagram(dg, netip.AddrPort{})
 	})
 	ts.eng.Quiesce()

@@ -27,7 +27,9 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x02})
 	f.Add(seed(func(w *Writer) error { return w.Hello("sensor-a") }))
-	f.Add(seed(func(w *Writer) error { return w.Install("s", "linear", 2.5, 1e-7, 41) }))
+	f.Add(seed(func(w *Writer) error {
+		return w.Install(Install{SourceID: "s", Model: "linear", Delta: 2.5, F: 1e-7, ResumeSeq: 41})
+	}))
 	f.Add(seed(func(w *Writer) error {
 		return w.Update(&core.Update{SourceID: "s", Seq: 7, Time: 3.5, Values: []float64{1, 2}, Bootstrap: true})
 	}))

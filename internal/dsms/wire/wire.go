@@ -344,24 +344,33 @@ func (w *Writer) Hello(sourceID string) error {
 }
 
 // Install buffers the server's handshake reply: the filter configuration
-// the connecting source must run. resumeSeq >= 0 tells a source holding
+// the connecting source must run. ResumeSeq >= 0 tells a source holding
 // unacknowledged updates past that sequence to resend them and continue
 // without re-bootstrapping (the server recovered its filter state from
-// durable storage); resumeSeq < 0 means the server has no state for the
+// durable storage); ResumeSeq < 0 means the server has no state for the
 // source and expects a bootstrap.
-func (w *Writer) Install(sourceID, model string, delta, f float64, resumeSeq int64) error {
+func (w *Writer) Install(inst Install) error {
 	w.begin(TagInstall)
 	var err error
-	if w.scratch, err = AppendString(w.scratch, sourceID); err != nil {
+	if w.scratch, err = appendInstall(w.scratch, inst); err != nil {
 		return err
 	}
-	if w.scratch, err = AppendString(w.scratch, model); err != nil {
-		return err
-	}
-	w.scratch = AppendF64(w.scratch, delta)
-	w.scratch = AppendF64(w.scratch, f)
-	w.scratch = AppendI64(w.scratch, resumeSeq)
 	return w.finish()
+}
+
+// appendInstall appends the install payload encoding of inst to b, the
+// body of both Writer.Install and AppendInstallFrame.
+func appendInstall(b []byte, inst Install) ([]byte, error) {
+	var err error
+	if b, err = AppendString(b, inst.SourceID); err != nil {
+		return b, err
+	}
+	if b, err = AppendString(b, inst.Model); err != nil {
+		return b, err
+	}
+	b = AppendF64(b, inst.Delta)
+	b = AppendF64(b, inst.F)
+	return AppendI64(b, inst.ResumeSeq), nil
 }
 
 // AppendUpdate appends the update payload encoding of u to b — the
@@ -881,15 +890,9 @@ func AppendInstallFrame(b []byte, inst Install) ([]byte, error) {
 	start := len(b)
 	b = BeginFrame(b, TagInstall)
 	var err error
-	if b, err = AppendString(b, inst.SourceID); err != nil {
+	if b, err = appendInstall(b, inst); err != nil {
 		return b, err
 	}
-	if b, err = AppendString(b, inst.Model); err != nil {
-		return b, err
-	}
-	b = AppendF64(b, inst.Delta)
-	b = AppendF64(b, inst.F)
-	b = AppendI64(b, inst.ResumeSeq)
 	return EndFrame(b, start)
 }
 

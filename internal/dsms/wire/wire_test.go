@@ -44,7 +44,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := w.Hello("sensor-a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Install("sensor-a", "linear2d", 2.5, 1e-7, 314); err != nil {
+	if err := w.Install(Install{SourceID: "sensor-a", Model: "linear2d", Delta: 2.5, F: 1e-7, ResumeSeq: 314}); err != nil {
 		t.Fatal(err)
 	}
 	u := core.Update{SourceID: "sensor-a", Seq: 1 << 40, Time: 12.75, Values: []float64{1.5, -2.25, math.Pi}, Bootstrap: true}

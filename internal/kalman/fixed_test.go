@@ -271,9 +271,9 @@ func TestFixedKernelPhiShapeChecked(t *testing.T) {
 // and add.
 var fusedOp = regexp.MustCompile(`\bFN?M(ADD|SUB)[SD]\b`)
 
-// TestNoFusedMultiplyAdd cross-compiles this package and internal/core,
-// the two that compute mirror state, for arm64 with the local toolchain
-// and fails on any fused multiply-add in their assembly. amd64 never
+// TestNoFusedMultiplyAdd cross-compiles this package, internal/core and
+// internal/mat, the three that compute mirror state, for arm64 with the
+// local toolchain and fails on any fused multiply-add in their assembly. amd64 never
 // fuses, so one fused site would let a mirror filter on an arm64 source
 // drift from its amd64 server; every product that feeds an addition must
 // be written float64(a*b).
@@ -282,15 +282,15 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 	if err != nil {
 		t.Skip("go command not on PATH")
 	}
-	cmd := exec.Command(goBin, "build", "-gcflags=-S", ".", "../core")
+	cmd := exec.Command(goBin, "build", "-gcflags=-S", ".", "../core", "../mat")
 	cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0", "GOTOOLCHAIN=local", "GOPROXY=off", "GOFLAGS=")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("arm64 build: %v\n%s", err, out)
 	}
 	// Guard against a vacuous pass: the listing must hold the kernels
-	// and core's sampler arithmetic.
-	for _, sym := range []string{"(*Filter).predict2", "(*AdaptiveSampler).Observe", "FMULD"} {
+	// core's sampler arithmetic and mat's generic kernels.
+	for _, sym := range []string{"(*Filter).predict2", "(*AdaptiveSampler).Observe", "mat.MulInto", "(*LU).Solve", "FMULD"} {
 		if !strings.Contains(string(out), sym) {
 			t.Fatalf("arm64 build printed no assembly for %s (%d bytes)", sym, len(out))
 		}

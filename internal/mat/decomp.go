@@ -59,7 +59,7 @@ func DecomposeLU(a *Matrix) (*LU, error) {
 			f := lu.data[i*n+k] / pivVal
 			lu.data[i*n+k] = f
 			for j := k + 1; j < n; j++ {
-				lu.data[i*n+j] -= f * lu.data[k*n+j]
+				lu.data[i*n+j] -= float64(f * lu.data[k*n+j])
 			}
 		}
 	}
@@ -97,7 +97,7 @@ func (d *LU) Solve(b *Matrix) (*Matrix, error) {
 				continue
 			}
 			for j := 0; j < nrhs; j++ {
-				x.data[i*nrhs+j] -= f * x.data[k*nrhs+j]
+				x.data[i*nrhs+j] -= float64(f * x.data[k*nrhs+j])
 			}
 		}
 	}
@@ -116,7 +116,7 @@ func (d *LU) Solve(b *Matrix) (*Matrix, error) {
 				continue
 			}
 			for j := 0; j < nrhs; j++ {
-				x.data[i*nrhs+j] -= f * x.data[k*nrhs+j]
+				x.data[i*nrhs+j] -= float64(f * x.data[k*nrhs+j])
 			}
 		}
 	}
@@ -170,11 +170,11 @@ func DecomposeCholesky(a *Matrix) (*Cholesky, error) {
 		for k := 0; k < j; k++ {
 			var s float64
 			for i := 0; i < k; i++ {
-				s += l.data[k*n+i] * l.data[j*n+i]
+				s += float64(l.data[k*n+i] * l.data[j*n+i])
 			}
 			s = (a.data[j*n+k] - s) / l.data[k*n+k]
 			l.data[j*n+k] = s
-			d += s * s
+			d += float64(s * s)
 		}
 		d = a.data[j*n+j] - d
 		if d <= 0 {
@@ -200,7 +200,7 @@ func (c *Cholesky) Solve(b *Matrix) *Matrix {
 	for k := 0; k < n; k++ {
 		for j := 0; j < nrhs; j++ {
 			for i := 0; i < k; i++ {
-				x.data[k*nrhs+j] -= x.data[i*nrhs+j] * c.l.data[k*n+i]
+				x.data[k*nrhs+j] -= float64(x.data[i*nrhs+j] * c.l.data[k*n+i])
 			}
 			x.data[k*nrhs+j] /= c.l.data[k*n+k]
 		}
@@ -209,7 +209,7 @@ func (c *Cholesky) Solve(b *Matrix) *Matrix {
 	for k := n - 1; k >= 0; k-- {
 		for j := 0; j < nrhs; j++ {
 			for i := k + 1; i < n; i++ {
-				x.data[k*nrhs+j] -= x.data[i*nrhs+j] * c.l.data[i*n+k]
+				x.data[k*nrhs+j] -= float64(x.data[i*nrhs+j] * c.l.data[i*n+k])
 			}
 			x.data[k*nrhs+j] /= c.l.data[k*n+k]
 		}

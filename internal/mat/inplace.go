@@ -116,7 +116,7 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 			}
 			brow := b.data[k*b.cols : (k+1)*b.cols]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -212,7 +212,7 @@ func Dot(a, b *Matrix) float64 {
 	}
 	var s float64
 	for i, v := range a.data {
-		s += v * b.data[i]
+		s += float64(v * b.data[i])
 	}
 	return s
 }
@@ -242,7 +242,7 @@ func InverseInto(dst, a, scratch *Matrix) (float64, error) {
 		return v, nil
 	case 2:
 		a00, a01, a10, a11 := a.data[0], a.data[1], a.data[2], a.data[3]
-		det := a00*a11 - a01*a10
+		det := float64(a00*a11) - float64(a01*a10)
 		if det == 0 {
 			return 0, ErrSingular
 		}
@@ -303,8 +303,8 @@ func InverseInto(dst, a, scratch *Matrix) (float64, error) {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				w[i*n+j] -= f * w[k*n+j]
-				dst.data[i*n+j] -= f * dst.data[k*n+j]
+				w[i*n+j] -= float64(f * w[k*n+j])
+				dst.data[i*n+j] -= float64(f * dst.data[k*n+j])
 			}
 		}
 	}

@@ -10,6 +10,13 @@
 // convention of gonum and the Go standard library (e.g. slice bounds).
 // Numerical failures that depend on data values (singular systems,
 // non-positive-definite inputs) are reported as errors.
+//
+// Every product that feeds a sum is written float64(a*b): the explicit
+// conversion rounds the product on its own, so no compiler may fuse it
+// into a multiply-add (arm64, ppc64 and s390x otherwise do, amd64 never
+// does). A source and a server on different architectures then compute
+// the same bits. TestNoFusedMultiplyAdd in internal/kalman gates this
+// on the package's arm64 assembly.
 package mat
 
 import (
@@ -273,7 +280,7 @@ func Trace(a *Matrix) float64 {
 func FrobeniusNorm(a *Matrix) float64 {
 	var s float64
 	for _, v := range a.data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

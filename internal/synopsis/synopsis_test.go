@@ -1,8 +1,6 @@
 package synopsis
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -201,51 +199,6 @@ func TestReconstructionToleranceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDecodeGobFallback: summaries written by earlier builds used
-// encoding/gob; Decode must still read them (the binary format is
-// sniffed by its "KSYN" magic, which no gob stream starts with).
-func TestDecodeGobFallback(t *testing.T) {
-	data := gen.Ramp(120, 5, 1.5, 0.05, 9)
-	s, _ := New(linearModel(), 1)
-	if err := s.AppendAll(data); err != nil {
-		t.Fatal(err)
-	}
-	legacy := encoded{
-		ModelName:   s.modelName,
-		Tol:         s.tol,
-		BootSeq:     s.bootSeq,
-		Boot:        s.boot,
-		Corrections: s.corrections,
-		LastSeq:     s.lastSeq,
-		N:           s.n,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	resolve := func(string) (model.Model, error) { return linearModel(), nil }
-	back, err := Decode(buf.Bytes(), resolve)
-	if err != nil {
-		t.Fatalf("legacy gob summary no longer decodes: %v", err)
-	}
-	origRec, err := s.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
-	}
-	backRec, err := back.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(origRec) != len(backRec) {
-		t.Fatalf("gob round-trip length %d vs %d", len(backRec), len(origRec))
-	}
-	for i := range origRec {
-		if origRec[i].Values[0] != backRec[i].Values[0] {
-			t.Fatalf("gob round-trip value mismatch at %d", i)
-		}
 	}
 }
 
